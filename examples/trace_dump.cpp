@@ -1,7 +1,8 @@
 // Tracing demo: run a small mixed workload (rendezvous over the network,
 // eager over shared memory, a collective, PIOMan in the background) with the
-// event tracer attached, then print the per-category summary and the head of
-// the trace — the simulator's stand-in for the PM2 suite's FxT traces.
+// observability recorder attached, then print the per-category summary and
+// the head of the trace — the simulator's stand-in for the PM2 suite's FxT
+// traces.
 //
 // Also writes the two observability sidecars:
 //   trace_dump.trace.json — Chrome trace-event JSON; open it in Perfetto
@@ -14,14 +15,15 @@
 //                           latency, PIOMan passes, ...).
 //
 //   $ ./examples/trace_dump
+#include <cstdint>
 #include <cstdio>
-#include <iostream>
-#include <sstream>
+#include <map>
+#include <utility>
 
 #include "mpi/cluster.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_csv.hpp"
-#include "sim/trace.hpp"
+#include "obs/recorder.hpp"
 
 int main() {
   using namespace nmx;
@@ -49,25 +51,38 @@ int main() {
     c.barrier();
   });
 
-  sim::Tracer& tr = *cluster.tracer();
-  std::printf("captured %zu events over %.1f us of virtual time\n\n", tr.size(),
+  obs::Recorder& rec = *cluster.recorder();
+  std::printf("captured %zu events over %.1f us of virtual time\n\n", rec.size(),
               cluster.now() * 1e6);
 
+  // Per-category totals; a span counts once, at its Begin.
+  std::map<obs::Cat, std::pair<std::uint64_t, std::uint64_t>> summary;  // count, bytes
+  for (const obs::Record& r : rec.records()) {
+    if (r.ph == obs::Ph::End) continue;
+    auto& [count, bytes] = summary[r.cat];
+    ++count;
+    bytes += r.bytes;
+  }
   std::printf("%-10s %8s %12s\n", "category", "count", "bytes");
-  for (const auto& [cat, s] : tr.summary()) {
-    std::printf("%-10s %8llu %12llu\n", sim::to_string(cat),
-                static_cast<unsigned long long>(s.count),
-                static_cast<unsigned long long>(s.bytes));
+  for (const auto& [cat, s] : summary) {
+    std::printf("%-10s %8llu %12llu\n", obs::to_string(cat),
+                static_cast<unsigned long long>(s.first),
+                static_cast<unsigned long long>(s.second));
   }
 
-  std::printf("\nfirst 12 trace lines (t_us rank category bytes aux):\n");
-  std::ostringstream os;
-  tr.dump(os);
-  std::istringstream is(os.str());
-  std::string line;
-  for (int i = 0; i < 13 && std::getline(is, line); ++i) std::printf("  %s\n", line.c_str());
+  std::printf("\nfirst 12 trace lines (t_us rank category bytes aux [B|E span]):\n");
+  const auto& recs = rec.records();
+  for (std::size_t i = 0; i < recs.size() && i < 12; ++i) {
+    const obs::Record& r = recs[i];
+    std::printf("  %.3f %d %s %zu %lld", r.t * 1e6, r.rank, obs::to_string(r.cat), r.bytes,
+                static_cast<long long>(r.arg));
+    if (r.ph != obs::Ph::Instant) {
+      std::printf(" %c %llu", r.ph == obs::Ph::Begin ? 'B' : 'E',
+                  static_cast<unsigned long long>(r.span));
+    }
+    std::printf("\n");
+  }
 
-  obs::Recorder& rec = tr.recorder();
   obs::write_chrome_trace_file(rec, "trace_dump.trace.json");
   obs::write_metrics_csv_file(rec, "trace_dump.metrics.csv");
   std::printf("\nwrote trace_dump.trace.json (%zu chrome events) — open in "

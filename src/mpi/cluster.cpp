@@ -24,8 +24,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   NMX_ASSERT(!cfg_.rails.empty());
   cfg_.coll.apply_env();  // NMX_COLL_* overrides the programmatic selection
   if (cfg_.trace) {
-    tracer_ = std::make_unique<sim::Tracer>();
-    eng_.set_recorder(&tracer_->recorder());
+    recorder_ = std::make_unique<obs::Recorder>();
+    eng_.set_recorder(recorder_.get());
   }
   net::Topology topo = cfg_.cyclic_mapping
                            ? net::Topology::cyclic(cfg_.nodes, cfg_.procs, cfg_.rails)

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/recorder.hpp"
 #include "sim/fault.hpp"
 
 namespace nmx::nmad {
@@ -79,8 +80,6 @@ Request* Core::new_request(Request r) {
   return &*it;
 }
 
-Core::GateState& Core::gate(int peer) { return gates_[peer]; }
-
 bool Core::any_rail_needs_registration() const {
   for (const Driver& d : drivers_) {
     if (fabric_.profile(d.fabric_rail).needs_registration) return true;
@@ -114,8 +113,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
     return r;
   }());
 
-  GateState& g = gate(dst);
-  const std::uint32_t seq = g.send_seq[tag]++;
+  const std::uint32_t seq = channel(dst, tag).send_seq++;
   obs::Recorder* rec = eng_.recorder();
   Entry e;
   e.dst_proc = dst;
@@ -178,11 +176,10 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
     return r;
   }());
 
-  GateState& g = gate(src);
-  auto& unex = g.unexpected[tag];
-  if (!unex.empty()) {
-    Unexpected u = std::move(unex.front());
-    unex.pop_front();
+  Channel& ch = channel(src, tag);
+  if (!ch.unexpected.empty()) {
+    Unexpected u = std::move(ch.unexpected.front());
+    ch.unexpected.pop_front();
     --unexpected_total_;
     if (obs::Recorder* rec = eng_.recorder()) {
       rec->metrics().gauge("nmad.unexpected.depth").set(static_cast<double>(unexpected_total_));
@@ -198,7 +195,7 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
     }
     return req;
   }
-  g.posted[tag].push_back(req);
+  ch.posted.push_back(req);
   return req;
 }
 
@@ -216,29 +213,24 @@ void Core::release(Request* r) {
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
   const Unexpected* best = nullptr;
   ProbeInfo info;
-  auto consider = [&](int gsrc, Tag gtag, const std::deque<Unexpected>& q) {
-    if (q.empty() || !sel.matches(gtag)) return;
-    const Unexpected& u = q.front();
+  // nmx-lint: allow(determinism) selection is tie-broken to a total order below; visitation order cannot leak
+  for (const auto& [key, ch] : channels_) {
+    if (ch.unexpected.empty() || (src && *src != key.peer) || !sel.matches(key.tag)) continue;
+    const Unexpected& u = ch.unexpected.front();
     // Total order on candidates: earliest arrival, then lowest (src, tag).
     // The explicit tie-break makes the selection independent of the hash-map
-    // visitation order below — two messages landing at the same instant used
-    // to be picked by whichever bucket came first.
+    // visitation order — two messages landing at the same instant would
+    // otherwise be picked by whichever bucket came first.
     const bool better =
         best == nullptr || u.arrival < best->arrival ||
         (u.arrival == best->arrival &&
-         (gsrc < info.src || (gsrc == info.src && gtag < info.tag)));
+         (key.peer < info.src || (key.peer == info.src && key.tag < info.tag)));
     if (better) {
       best = &u;
-      info.src = gsrc;
-      info.tag = gtag;
+      info.src = key.peer;
+      info.tag = key.tag;
       info.len = u.len;
     }
-  };
-  // nmx-lint: allow(determinism) selection is tie-broken to a total order above; visitation order cannot leak
-  for (const auto& [gsrc, g] : gates_) {
-    if (src && *src != gsrc) continue;
-    // nmx-lint: allow(determinism) same total-order tie-break as the outer loop
-    for (const auto& [gtag, q] : g.unexpected) consider(gsrc, gtag, q);
   }
   if (!best) return std::nullopt;
   return info;
@@ -595,10 +587,9 @@ void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
 }
 
 void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
-  GateState& g = gate(src);
-  std::uint32_t& expected = g.recv_seq[e.tag];
-  if (e.seq != expected) {
-    if (e.seq < expected) {
+  Channel& ch = channel(src, e.tag);
+  if (e.seq != ch.recv_seq) {
+    if (e.seq < ch.recv_seq) {
       // This matching slot was already consumed: a wire duplicate or a
       // sender retransmission. Eager entries are never faulted, so only an
       // Rts can get here — and it must never re-enter the matching stream
@@ -609,34 +600,29 @@ void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
     // Arrived ahead of an in-flight predecessor (possible across rails);
     // stash until its turn to preserve MPI matching order. A duplicate of an
     // already-stashed seq is discarded by the emplace.
-    const Tag tag = e.tag;
     const std::uint32_t seq = e.seq;
-    g.out_of_order.emplace(std::make_pair(tag, seq), PendingIngest{std::move(e), src, fabric_rail});
+    ch.out_of_order.emplace(seq, PendingIngest{std::move(e), fabric_rail});
     return;
   }
-  ++expected;
-  ingest(src, e, fabric_rail);
-  // Drain any stashed successors that are now in order.
+  // Deliver this entry, then any stashed successors that are now in order.
+  // The channel reference stays valid across the upcalls: the table never
+  // erases, and unordered_map insertions do not move elements.
   for (;;) {
-    auto it = g.out_of_order.find({e.tag, g.recv_seq[e.tag]});
-    if (it == g.out_of_order.end()) break;
-    Entry next = std::move(it->second.entry);
-    const int next_rail = it->second.fabric_rail;
-    g.out_of_order.erase(it);
-    ++g.recv_seq[next.tag];
-    ingest(src, next, next_rail);
+    ++ch.recv_seq;
+    if (e.kind == Entry::Kind::Eager) {
+      deliver_eager(ch, src, e, fabric_rail);
+    } else {
+      handle_rts(ch, src, e);
+    }
+    auto it = ch.out_of_order.find(ch.recv_seq);
+    if (it == ch.out_of_order.end()) break;
+    e = std::move(it->second.entry);
+    fabric_rail = it->second.fabric_rail;
+    ch.out_of_order.erase(it);
   }
 }
 
-void Core::ingest(int src, Entry& e, int fabric_rail) {
-  if (e.kind == Entry::Kind::Eager) {
-    deliver_eager(src, e, fabric_rail);
-  } else {
-    handle_rts(src, e);
-  }
-}
-
-void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
+void Core::deliver_eager(Channel& ch, int src, Entry& e, int fabric_rail) {
   // Landing link for the critical-path analyzer: last byte of this eager
   // entry is on the receiver, on `fabric_rail`, named by the sender's span.
   if (obs::Recorder* rec = eng_.recorder()) {
@@ -644,11 +630,9 @@ void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
       rec->link(eng_.now(), my_proc_, obs::Cat::WireLand, e.span, e.bytes.size(), fabric_rail);
     }
   }
-  GateState& g = gate(src);
-  auto& posted = g.posted[e.tag];
-  if (!posted.empty()) {
-    Request* req = posted.front();
-    posted.pop_front();
+  if (!ch.posted.empty()) {
+    Request* req = ch.posted.front();
+    ch.posted.pop_front();
     NMX_ASSERT_MSG(e.bytes.size() <= req->len, "eager message overflows receive buffer");
     if (!e.bytes.empty()) std::memcpy(req->rbuf, e.bytes.data(), e.bytes.size());
     req->received = e.bytes.size();
@@ -663,7 +647,7 @@ void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
   u.len = len;
   u.span = e.span;
   u.payload = std::move(e.bytes);
-  g.unexpected[e.tag].push_back(std::move(u));
+  ch.unexpected.push_back(std::move(u));
   ++unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, len, src);
@@ -672,12 +656,10 @@ void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
   if (on_unexpected_) on_unexpected_(ProbeInfo{src, e.tag, len});
 }
 
-void Core::handle_rts(int src, Entry& e) {
-  GateState& g = gate(src);
-  auto& posted = g.posted[e.tag];
-  if (!posted.empty()) {
-    Request* req = posted.front();
-    posted.pop_front();
+void Core::handle_rts(Channel& ch, int src, Entry& e) {
+  if (!ch.posted.empty()) {
+    Request* req = ch.posted.front();
+    ch.posted.pop_front();
     start_rdv_recv(src, req, e.rdv_id, e.rdv_total, e.span);
     return;
   }
@@ -687,7 +669,7 @@ void Core::handle_rts(int src, Entry& e) {
   u.len = e.rdv_total;
   u.rdv_id = e.rdv_id;
   u.span = e.span;
-  g.unexpected[e.tag].push_back(std::move(u));
+  ch.unexpected.push_back(std::move(u));
   ++unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, e.rdv_total, src);
@@ -715,13 +697,13 @@ void Core::handle_dup_rts(int src, Entry& e) {
   send_cts(src, e.rdv_id, it->second.epoch, it->second.req->span);
 }
 
-void Core::decay_rx_mix(GateState& g) const {
+void Core::decay_rx_mix(RxMix& m) const {
   const Time now = eng_.now();
-  if (now > g.rdv_rx_t && !g.rdv_rx_by_rail.empty()) {
-    const double f = std::exp(-(now - g.rdv_rx_t) / kMixDecayTau);
-    for (double& w : g.rdv_rx_by_rail) w *= f;
+  if (now > m.t && !m.by_rail.empty()) {
+    const double f = std::exp(-(now - m.t) / kMixDecayTau);
+    for (double& w : m.by_rail) w *= f;
   }
-  g.rdv_rx_t = now;
+  m.t = now;
 }
 
 std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granting_rdv) const {
@@ -747,12 +729,13 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
     if (outstanding == 0) continue;
     double beta_sum = 0.0;
     for (const auto& rp : sampling_.rails()) beta_sum += rp.beta;
-    auto git = gates_.find(key.first);
+    auto mit = rx_mix_.find(key.first);
+    const RxMix* mix = mit != rx_mix_.end() ? &mit->second : nullptr;
     double obs_f = 0.0;  // decay factor at read time (state stays const here)
     double obs_total = 0.0;
-    if (git != gates_.end() && !git->second.rdv_rx_by_rail.empty()) {
-      obs_f = std::exp(-(now - git->second.rdv_rx_t) / kMixDecayTau);
-      for (double w : git->second.rdv_rx_by_rail) obs_total += w * obs_f;
+    if (mix != nullptr && !mix->by_rail.empty()) {
+      obs_f = std::exp(-(now - mix->t) / kMixDecayTau);
+      for (double w : mix->by_rail) obs_total += w * obs_f;
     }
     const double prior_mass =
         std::max(0.0, static_cast<double>(kMixPriorBytes) - obs_total);
@@ -760,9 +743,7 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
     double total_w = 0.0;
     for (std::size_t r = 0; r < drivers_.size(); ++r) {
       double w = prior_mass * sampling_.rails()[r].beta / beta_sum;
-      if (git != gates_.end() && r < git->second.rdv_rx_by_rail.size()) {
-        w += git->second.rdv_rx_by_rail[r] * obs_f;
-      }
+      if (mix != nullptr && r < mix->by_rail.size()) w += mix->by_rail[r] * obs_f;
       weight[r] = w;
       total_w += w;
     }
@@ -960,13 +941,11 @@ void Core::handle_rdv_data(int src, int fabric_rail, Entry& e) {
   // Feed the per-peer arrival mix that attributes granted-but-unlanded bytes
   // to rails in future CTS load advertisements. Decay-then-add keeps the mix
   // a landing-*rate* observation, not a cumulative history.
-  GateState& g = gate(src);
-  if (g.rdv_rx_by_rail.size() < drivers_.size()) g.rdv_rx_by_rail.resize(drivers_.size(), 0.0);
-  decay_rx_mix(g);
+  RxMix& mix = rx_mix_[src];
+  if (mix.by_rail.size() < drivers_.size()) mix.by_rail.resize(drivers_.size(), 0.0);
+  decay_rx_mix(mix);
   const int lr = local_rail_of(fabric_rail);
-  if (lr >= 0) {
-    g.rdv_rx_by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.bytes.size());
-  }
+  if (lr >= 0) mix.by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.bytes.size());
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::RdvData, e.bytes.size(),
                  static_cast<std::int64_t>(e.span));
@@ -1135,11 +1114,7 @@ void Core::on_restart() {
     send_cts(key.first, key.second, rin.epoch, rin.req->span);
   }
   // The observed per-peer arrival mix is landing-progress state too.
-  // nmx-lint: allow(determinism) per-peer reset to identical fresh values; order cannot leak
-  for (auto& [peer, g] : gates_) {
-    g.rdv_rx_by_rail.clear();
-    g.rdv_rx_t = eng_.now();
-  }
+  rx_mix_.clear();
   kick();
 }
 

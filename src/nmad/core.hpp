@@ -29,7 +29,6 @@
 #include "nmad/types.hpp"
 #include "nmad/wire.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx::nmad {
 
@@ -142,25 +141,43 @@ class Core {
   /// An Eager or Rts entry waiting for its sequence turn (multirail safety).
   struct PendingIngest {
     Entry entry;
-    int src;
     int fabric_rail = -1;
   };
 
-  struct GateState {
-    std::unordered_map<Tag, std::uint32_t> send_seq;
-    std::unordered_map<Tag, std::uint32_t> recv_seq;
-    std::map<std::pair<Tag, std::uint32_t>, PendingIngest> out_of_order;
-    std::unordered_map<Tag, std::deque<Request*>> posted;
-    std::unordered_map<Tag, std::deque<Unexpected>> unexpected;
-    /// Rendezvous bytes from this peer that landed per local rail — the
-    /// observed arrival mix used to attribute granted-but-unlanded bytes to
-    /// rails in the CTS load advertisement (empty until first chunk lands).
-    /// Exponentially time-decayed (kMixDecayTau) so the mix tracks the
-    /// *current* landing rate: a rail that stopped landing bytes stops
-    /// attracting backlog attribution instead of being pinned forever by
-    /// stale history.
-    std::vector<double> rdv_rx_by_rail;
-    Time rdv_rx_t = 0;  ///< last time the decay was applied to the mix
+  /// Matching state of one (peer, tag) pair: the non-overtaking sequence
+  /// counters of both directions, entries that arrived ahead of their turn,
+  /// and the posted / unexpected queues. Sender-only channels are common, so
+  /// every container is one that does not allocate while empty. A channel is
+  /// never erased: its counters must stay in step with the other end's.
+  struct Channel {
+    std::uint32_t send_seq = 0;
+    std::uint32_t recv_seq = 0;
+    std::map<std::uint32_t, PendingIngest> out_of_order;  ///< keyed by seq
+    std::list<Request*> posted;
+    std::list<Unexpected> unexpected;
+  };
+
+  struct ChannelKey {
+    int peer;
+    Tag tag;
+    bool operator==(const ChannelKey&) const = default;
+  };
+  struct ChannelKeyHash {
+    std::size_t operator()(const ChannelKey& k) const noexcept {
+      return static_cast<std::size_t>(k.tag * 0x9E3779B97F4A7C15ULL ^
+                                      static_cast<std::uint32_t>(k.peer));
+    }
+  };
+
+  /// Rendezvous bytes from one peer that landed per local rail — the
+  /// observed arrival mix used to attribute granted-but-unlanded bytes to
+  /// rails in the CTS load advertisement. Exponentially time-decayed
+  /// (kMixDecayTau) so the mix tracks the *current* landing rate: a rail that
+  /// stopped landing bytes stops attracting backlog attribution instead of
+  /// being pinned forever by stale history.
+  struct RxMix {
+    std::vector<double> by_rail;
+    Time t = 0;  ///< last time the decay was applied
   };
 
   struct RdvIn {
@@ -189,7 +206,7 @@ class Core {
   };
 
   Request* new_request(Request r);
-  GateState& gate(int peer);
+  Channel& channel(int peer, Tag tag) { return channels_[ChannelKey{peer, tag}]; }
   /// Strategy hand-off, instrumented: StratEnqueue record + queue-depth gauge.
   void enqueue(Entry e);
   /// Scheduler observability: per-rail backlog/steal gauges plus counter-track
@@ -206,10 +223,11 @@ class Core {
   void handle_wire(int fabric_rail, WireMsg m);
   /// Deliver one wire entry to its protocol handler (post fault filtering).
   void dispatch_entry(int src, int fabric_rail, Entry e);
+  /// Finds the entry's channel (the one matching-table lookup per arrival)
+  /// and hands it, in sequence order, to deliver_eager / handle_rts.
   void ingest_ordered(int src, Entry e, int fabric_rail);
-  void ingest(int src, Entry& e, int fabric_rail);
-  void deliver_eager(int src, Entry& e, int fabric_rail);
-  void handle_rts(int src, Entry& e);
+  void deliver_eager(Channel& ch, int src, Entry& e, int fabric_rail);
+  void handle_rts(Channel& ch, int src, Entry& e);
   /// An Rts whose matching slot was already consumed (wire duplicate or
   /// sender retransmission): re-grant when our CTS was the casualty.
   void handle_dup_rts(int src, Entry& e);
@@ -253,8 +271,8 @@ class Core {
   /// occupancy past "now" plus granted-but-unlanded inbound bytes (excluding
   /// the rendezvous being granted, which the sender accounts for itself).
   std::vector<RailAd> sample_rail_ads(int granting_src, std::uint64_t granting_rdv) const;
-  /// Apply the exponential landing-mix decay to a gate (idempotent per time).
-  void decay_rx_mix(GateState& g) const;
+  /// Apply the exponential landing-mix decay (idempotent per time).
+  void decay_rx_mix(RxMix& m) const;
 
   // NIC collective unit internals. State is keyed by collective id; arrivals
   // may precede the local post (the CollCtl carries the op), so entries are
@@ -293,7 +311,8 @@ class Core {
   std::vector<Driver> drivers_;
 
   std::list<Request> live_;
-  std::unordered_map<int, GateState> gates_;
+  std::unordered_map<ChannelKey, Channel, ChannelKeyHash> channels_;
+  std::unordered_map<int, RxMix> rx_mix_;  ///< per peer; rendezvous paths only
   std::unordered_map<std::uint64_t, Request*> rdv_out_;  ///< rdv_id -> send req
   std::map<std::pair<int, std::uint64_t>, RdvIn> rdv_in_;
 

@@ -11,7 +11,6 @@
 // message touches can name the request that caused it. Exporters:
 //   * obs/export_chrome.hpp — Chrome trace-event JSON (open in Perfetto)
 //   * obs/export_csv.hpp    — metrics + raw-event CSV
-//   * sim/trace.hpp         — the legacy Paje-flavoured text view (shim)
 #pragma once
 
 #include <algorithm>
@@ -26,9 +25,8 @@
 
 namespace nmx::obs {
 
-/// Record categories. The first block is the legacy sim::TraceCat set (names
-/// and Paje dump strings preserved); the second block arrived with the span
-/// layer. sim::TraceCat aliases this enum.
+/// Record categories: message, packet and progress events first, then the
+/// span-layer categories.
 enum class Cat : std::uint8_t {
   MpiSend,      ///< MPI-level send posted
   MpiRecv,      ///< MPI-level receive posted

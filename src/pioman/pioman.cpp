@@ -1,5 +1,10 @@
 #include "pioman/pioman.hpp"
 
+#include <string>
+#include <utility>
+
+#include "obs/recorder.hpp"
+
 namespace nmx::pioman {
 
 Manager::Manager(sim::Engine& eng, ManagerConfig cfg) : eng_(eng), cfg_(cfg) {}

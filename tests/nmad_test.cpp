@@ -1,6 +1,7 @@
 // NewMadeleine core tests: sampling/splitting, strategies (aggregation,
-// rail selection), eager/rendezvous protocols, tag matching order, probes,
-// gated progress and the multirail data path.
+// rail selection), eager/rendezvous protocols, tag matching order (including
+// out-of-sequence arrivals), probes, gated progress and the multirail data
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "net/router.hpp"
 #include "nmad/core.hpp"
+#include "sim/fault.hpp"
 
 namespace nmx::nmad {
 namespace {
@@ -409,6 +411,37 @@ TEST_F(CoreFixture, DifferentTagsMatchIndependently) {
   EXPECT_EQ(d2, m2);
 }
 
+TEST_F(CoreFixture, OutOfSequenceArrivalsMatchInSendOrder) {
+  // A rendezvous then an eager on one (peer, tag). The fault plan holds the
+  // Rts back, so the eager (seq 1) lands first and must wait in the channel's
+  // out-of-order stash until seq 0 has matched: the first posted receive
+  // gets the first message sent.
+  sim::FaultSpec spec;
+  sim::FaultSpec::EntryFault delay_rts;
+  delay_rts.kind = static_cast<int>(Entry::Kind::Rts);
+  delay_rts.delay_p = 1.0;
+  delay_rts.delay = 50e-6;
+  spec.entry_faults.push_back(delay_rts);
+  sim::FaultPlan plan(spec);
+  cfg.fault_plan = &plan;
+  make_cores();
+  const std::size_t big = 1_MiB;
+  auto m1 = pattern(big, 14);
+  auto m2 = pattern(64, 15);
+  std::vector<std::byte> d1(big), d2(big);
+  Request* r1 = b->irecv(0, 4, d1.data(), d1.size());
+  Request* r2 = b->irecv(0, 4, d2.data(), d2.size());
+  a->isend(1, 4, m1.data(), m1.size());
+  a->isend(1, 4, m2.data(), m2.size());
+  eng.run();
+  EXPECT_EQ(plan.delays(), 1u);
+  ASSERT_TRUE(r1->completed && r2->completed);
+  EXPECT_EQ(r1->received, big);
+  EXPECT_EQ(d1, m1);
+  EXPECT_EQ(r2->received, m2.size());
+  EXPECT_TRUE(std::equal(m2.begin(), m2.end(), d2.begin()));
+}
+
 TEST_F(CoreFixture, ProbeSeesOldestUnexpected) {
   make_cores();
   auto m = pattern(256, 9);
@@ -516,24 +549,20 @@ TEST_F(CoreFixture, LegacyCtsPathStillCompletesRendezvous) {
 }
 
 // ---------------------------------------------------------------------------
-// Rendezvous hardening: the CTS grant must come from the RTS destination and
-// must arrive at most once. Pre-fix, handle_cts matched on rdv_id alone, so a
-// grant echoed by the wrong process (or replayed) started the payload toward
-// whoever asked — data in the wrong buffer, double-queued chunks.
+// Core: three processes on three nodes.
 // ---------------------------------------------------------------------------
 
-struct RdvHardeningFixture : ::testing::Test {
+struct ThreeCoreFixture : ::testing::Test {
   sim::Engine eng;
-  // Three procs on three nodes so a third party can forge grants.
   net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
   net::Fabric fabric{eng, topo};
   net::ProcRouter router0{fabric, 0};
   net::ProcRouter router1{fabric, 1};
   net::ProcRouter router2{fabric, 2};
   Core::ExtendedConfig cfg;
-  std::unique_ptr<Core> a;  // proc 0: rendezvous sender under attack
-  std::unique_ptr<Core> b;  // proc 1: the legitimate destination
-  std::unique_ptr<Core> c;  // proc 2: bystander
+  std::unique_ptr<Core> a;  // proc 0
+  std::unique_ptr<Core> b;  // proc 1
+  std::unique_ptr<Core> c;  // proc 2
 
   void make_cores() {
     cfg.rails = {0};
@@ -544,7 +573,53 @@ struct RdvHardeningFixture : ::testing::Test {
     b->enter_progress();
     c->enter_progress();
   }
+};
 
+TEST_F(ThreeCoreFixture, ProbeFiltersBySourceAndWildcardTakesOldest) {
+  make_cores();
+  std::vector<std::byte> m(32, std::byte{0x3c});
+  c->isend(1, 9, m.data(), 32);  // proc 2 lands first...
+  eng.run();
+  a->isend(1, 7, m.data(), 16);  // ...then proc 0, whose (src, tag) sorts lower
+  eng.run();
+  ASSERT_EQ(b->unexpected_count(), 2u);
+
+  auto from0 = b->probe(0, TagSelector::any());
+  ASSERT_TRUE(from0.has_value());
+  EXPECT_EQ(from0->src, 0);
+  EXPECT_EQ(from0->tag, 7u);
+  EXPECT_EQ(from0->len, 16u);
+  auto from2 = b->probe(2, TagSelector::any());
+  ASSERT_TRUE(from2.has_value());
+  EXPECT_EQ(from2->src, 2);
+  EXPECT_EQ(from2->tag, 9u);
+  EXPECT_FALSE(b->probe(0, TagSelector::exact(9)).has_value());
+
+  auto oldest = b->probe(std::nullopt, TagSelector::any());
+  ASSERT_TRUE(oldest.has_value());
+  EXPECT_EQ(oldest->src, 2);  // arrival order wins over (src, tag) order
+  EXPECT_EQ(oldest->tag, 9u);
+
+  // Consuming the oldest exposes the next arrival.
+  std::vector<std::byte> d(32);
+  Request* rr = b->irecv(2, 9, d.data(), d.size());
+  EXPECT_TRUE(rr->completed);
+  auto next = b->probe(std::nullopt, TagSelector::any());
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->src, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Rendezvous hardening: the CTS grant must come from the RTS destination and
+// must arrive at most once. Pre-fix, handle_cts matched on rdv_id alone, so a
+// grant echoed by the wrong process (or replayed) started the payload toward
+// whoever asked — data in the wrong buffer, double-queued chunks.
+// ---------------------------------------------------------------------------
+
+// Three processes so a third party can forge grants: a (proc 0) is the
+// rendezvous sender under attack, b (proc 1) the legitimate destination,
+// c (proc 2) a bystander.
+struct RdvHardeningFixture : ThreeCoreFixture {
   /// Inject a forged CTS claiming to grant rendezvous `rdv_id`, sent by
   /// `src_proc` to proc 0 — bypassing any Core so the wire contents are
   /// entirely under the test's control.

@@ -1,11 +1,9 @@
 // Tests for the nmx::obs observability layer: metrics registry semantics,
 // span begin/end pairing in the Recorder, end-to-end span balance on a traced
-// cluster, the Chrome trace-event / CSV exporters, and equivalence between
-// the legacy sim::Tracer view and the Recorder stream backing it.
+// cluster, and the Chrome trace-event / CSV exporters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,7 +14,6 @@
 #include "obs/export_csv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx {
 namespace {
@@ -420,36 +417,6 @@ TEST(Exporters, MetricsCsvCarriesTheHeadlineSeries) {
   EXPECT_NE(csv.find("counter,pioman.passes,,"), std::string::npos);
   EXPECT_NE(csv.find("hist,nmad.rdv.handshake_us,,count,"), std::string::npos);
   EXPECT_NE(csv.find("counter,mpi.send.bytes,,"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy sim::Tracer shim
-// ---------------------------------------------------------------------------
-
-TEST(TracerShim, SummaryMatchesTheRecorderStream) {
-  mpi::Cluster& cluster = traced_cluster();
-  const sim::Tracer& tr = *cluster.tracer();
-  const obs::Recorder& rec = tr.recorder();
-
-  // The shim's per-category summary counts each span once (at its Begin), so
-  // it must agree with a direct scan of the records that skips Ends.
-  auto summary = tr.summary();
-  std::map<obs::Cat, std::uint64_t> expect_count;
-  std::map<obs::Cat, std::uint64_t> expect_bytes;
-  for (const obs::Record& r : rec.records()) {
-    if (r.ph == obs::Ph::End) continue;
-    ++expect_count[r.cat];
-    expect_bytes[r.cat] += r.bytes;
-  }
-  for (const auto& [cat, s] : summary) {
-    EXPECT_EQ(s.count, expect_count[cat]) << obs::to_string(cat);
-    EXPECT_EQ(s.bytes, expect_bytes[cat]) << obs::to_string(cat);
-  }
-  EXPECT_EQ(summary.size(), expect_count.size());
-
-  // events() is the same stream minus the Ends, still time-ordered.
-  const auto ev = tr.events();
-  EXPECT_EQ(ev.size(), rec.size() - rec.spans_ended());
 }
 
 // ---------------------------------------------------------------------------

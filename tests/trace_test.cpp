@@ -1,31 +1,52 @@
-// Tests for the event tracer and the MPI_THREAD_MULTIPLE-style execution
-// mode (run_threads) — the simulator-side analogues of the PM2 suite's FxT
-// tracing and of §3.3.2's semaphore-based thread waiting.
+// Tests for cluster tracing through the obs::Recorder and for the
+// MPI_THREAD_MULTIPLE-style execution mode (run_threads) — the
+// simulator-side analogues of the PM2 suite's FxT tracing and of §3.3.2's
+// semaphore-based thread waiting.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <map>
 
 #include "mpi/cluster.hpp"
-#include "sim/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace nmx {
 namespace {
 
+struct CatSummary {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Per-category totals over the record stream. A span counts once, at its
+/// Begin; End records are skipped.
+std::map<obs::Cat, CatSummary> summarize(const obs::Recorder& rec) {
+  std::map<obs::Cat, CatSummary> out;
+  for (const obs::Record& r : rec.records()) {
+    if (r.ph == obs::Ph::End) continue;
+    auto& s = out[r.cat];
+    ++s.count;
+    s.bytes += r.bytes;
+  }
+  return out;
+}
+
 TEST(Tracer, RecordsAndSummarizes) {
-  sim::Tracer tr;
-  tr.record(1e-6, 0, sim::TraceCat::MpiSend, 100, 1);
-  tr.record(2e-6, 1, sim::TraceCat::MpiRecv, 100, 0);
-  tr.record(3e-6, 0, sim::TraceCat::MpiSend, 50, 1);
-  auto s = tr.summary();
-  EXPECT_EQ(s[sim::TraceCat::MpiSend].count, 2u);
-  EXPECT_EQ(s[sim::TraceCat::MpiSend].bytes, 150u);
-  EXPECT_EQ(s[sim::TraceCat::MpiRecv].count, 1u);
-  std::ostringstream os;
-  tr.dump(os);
-  EXPECT_NE(os.str().find("MPI_SEND"), std::string::npos);
-  EXPECT_NE(os.str().find("1.000 0"), std::string::npos);
-  tr.clear();
-  EXPECT_EQ(tr.size(), 0u);
+  obs::Recorder rec;
+  rec.instant(1e-6, 0, obs::Cat::MpiSend, 100, 1);
+  rec.instant(2e-6, 1, obs::Cat::MpiRecv, 100, 0);
+  rec.instant(3e-6, 0, obs::Cat::MpiSend, 50, 1);
+  const obs::SpanId w = rec.begin(4e-6, 1, obs::Cat::MpiWait, 8);
+  rec.end(5e-6, 1, obs::Cat::MpiWait, w, 8);
+  auto s = summarize(rec);
+  EXPECT_EQ(s[obs::Cat::MpiSend].count, 2u);
+  EXPECT_EQ(s[obs::Cat::MpiSend].bytes, 150u);
+  EXPECT_EQ(s[obs::Cat::MpiRecv].count, 1u);
+  EXPECT_EQ(s[obs::Cat::MpiWait].count, 1u);  // the span's End is not counted
+  EXPECT_EQ(s[obs::Cat::MpiWait].bytes, 8u);
+  EXPECT_EQ(rec.size(), 5u);
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
 }
 
 TEST(Tracer, ClusterTraceCapturesAllLayers) {
@@ -49,20 +70,20 @@ TEST(Tracer, ClusterTraceCapturesAllLayers) {
     }
     c.barrier();
   });
-  ASSERT_NE(cluster.tracer(), nullptr);
-  auto s = cluster.tracer()->summary();
-  EXPECT_GT(s[sim::TraceCat::MpiSend].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::MpiWait].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::MpiColl].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::NmadTx].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::NmadRx].count, 0u);
-  EXPECT_EQ(s[sim::TraceCat::NmadRdv].count, 1u);  // exactly one big send
-  EXPECT_GT(s[sim::TraceCat::ShmCell].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::PiomanPass].count, 0u);
-  EXPECT_EQ(s[sim::TraceCat::Compute].count, 1u);
-  // Events are time-ordered (each layer records at emission time).
-  const auto& ev = cluster.tracer()->events();
-  for (std::size_t i = 1; i < ev.size(); ++i) EXPECT_GE(ev[i].t, ev[i - 1].t);
+  ASSERT_NE(cluster.recorder(), nullptr);
+  auto s = summarize(*cluster.recorder());
+  EXPECT_GT(s[obs::Cat::MpiSend].count, 0u);
+  EXPECT_GT(s[obs::Cat::MpiWait].count, 0u);
+  EXPECT_GT(s[obs::Cat::MpiColl].count, 0u);
+  EXPECT_GT(s[obs::Cat::NmadTx].count, 0u);
+  EXPECT_GT(s[obs::Cat::NmadRx].count, 0u);
+  EXPECT_EQ(s[obs::Cat::NmadRdv].count, 1u);  // exactly one big send
+  EXPECT_GT(s[obs::Cat::ShmCell].count, 0u);
+  EXPECT_GT(s[obs::Cat::PiomanPass].count, 0u);
+  EXPECT_EQ(s[obs::Cat::Compute].count, 1u);
+  // Records are time-ordered (each layer records at emission time).
+  const auto& recs = cluster.recorder()->records();
+  for (std::size_t i = 1; i < recs.size(); ++i) EXPECT_GE(recs[i].t, recs[i - 1].t);
 }
 
 TEST(Tracer, DisabledByDefaultCostsNothing) {
@@ -70,7 +91,7 @@ TEST(Tracer, DisabledByDefaultCostsNothing) {
   cfg.nodes = 2;
   cfg.procs = 2;
   mpi::Cluster cluster(cfg);
-  EXPECT_EQ(cluster.tracer(), nullptr);
+  EXPECT_EQ(cluster.recorder(), nullptr);
   cluster.run([](mpi::Comm& c) {
     if (c.rank() == 0) c.send_value(1, 1, 0);
     if (c.rank() == 1) c.recv_value<int>(0, 0);

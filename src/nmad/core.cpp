@@ -48,7 +48,12 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
   opts.rdv_quantum = cfg_.rdv_quantum;
   opts.adaptive_split = cfg_.adaptive_split;
   strategy_ = make_strategy(cfg_.strategy, sampling_, opts);
-  for (int fr : cfg_.rails) drivers_.push_back(Driver{fr, false});
+  for (int fr : cfg_.rails) {
+    Driver d;
+    d.fabric_rail = fr;
+    d.label = "rail=" + std::to_string(drivers_.size());
+    drivers_.push_back(std::move(d));
+  }
   // Live load feed for cost-model strategies: the engine clock plus each
   // local rail's NIC egress occupancy, straight from the fabric (includes
   // co-located processes sharing the node's NICs).
@@ -122,10 +127,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   e.span = span;
   if (len <= cfg_.rdv_threshold) {
     e.kind = Entry::Kind::Eager;
-    if (len > 0) {
-      e.bytes.resize(len);
-      std::memcpy(e.bytes.data(), buf, len);
-    }
+    e.bytes = Payload::copy_of(buf, len);
     e.sreq = req;
     if (rec != nullptr) {
       rec->metrics().counter("nmad.eager.count").add(1);
@@ -272,7 +274,7 @@ void Core::sample_sched() {
   const Time now = eng_.now();
   rec->sample(now, my_proc_, "nmad.strategy.queue_depth", static_cast<double>(strat_depth_));
   for (std::size_t r = 0; r < drivers_.size(); ++r) {
-    const std::string rail_label = "rail=" + std::to_string(r);
+    const std::string& rail_label = drivers_[r].label;
     const auto backlog = static_cast<double>(strategy_->backlog_bytes(static_cast<int>(r)));
     rec->metrics().gauge("nmad.sched.backlog_bytes", rail_label).set(backlog);
     rec->metrics()
@@ -352,9 +354,8 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
     d.tx_span = rec->begin(eng_.now(), my_proc_, obs::Cat::NmadTx, bytes, local_rail);
     d.tx_begin = eng_.now();
     rec->metrics().gauge("nmad.strategy.queue_depth").set(static_cast<double>(strat_depth_));
-    const std::string rail_label = "rail=" + std::to_string(local_rail);
-    rec->metrics().counter("nmad.rail.tx_packets", rail_label).add(1);
-    rec->metrics().counter("nmad.rail.tx_bytes", rail_label).add(bytes);
+    rec->metrics().counter("nmad.rail.tx_packets", d.label).add(1);
+    rec->metrics().counter("nmad.rail.tx_bytes", d.label).add(bytes);
   }
   eng_.schedule_in_checked(pre, [this, local_rail, dst, bytes, wm = std::move(wm),
                          notes = std::move(notes)]() mutable {
@@ -374,7 +375,8 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
     if (cfg_.beta_relearn && sampling_.observe_egress(local_rail, bytes, egress - queued_from)) {
       if (obs::Recorder* rec = eng_.recorder()) {
         rec->metrics()
-            .counter("nmad.sched.beta_relearned", "rail=" + std::to_string(local_rail))
+            .counter("nmad.sched.beta_relearned",
+                     drivers_[static_cast<std::size_t>(local_rail)].label)
             .add(1);
       }
     }
@@ -390,7 +392,7 @@ void Core::on_egress(int local_rail, std::vector<Note> notes) {
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->end(eng_.now(), my_proc_, obs::Cat::NmadTx, d.tx_span, 0, local_rail);
     rec->metrics()
-        .counter("nmad.rail.busy_ns", "rail=" + std::to_string(local_rail))
+        .counter("nmad.rail.busy_ns", d.label)
         .add(static_cast<std::uint64_t>((eng_.now() - d.tx_begin) * 1e9));
     // Cost-model accuracy: |predicted - actual| egress completion. With the
     // egress-fitted alpha_tx the wire-latency offset is gone; residual error
@@ -893,7 +895,7 @@ void Core::start_rdv_data(Request* req, Entry& cts) {
     e.offset = 0;
     e.rail = -1;  // unplanned
     e.epoch = req->epoch;
-    e.bytes.assign(req->sbuf, req->sbuf + req->len);
+    e.bytes = Payload::view_of(req->sbuf, req->len);
     e.sreq = req;
     e.span = req->span;
     if (cfg_.advertise_rdv_load) e.rail_ads = std::move(cts.rail_ads);
@@ -914,7 +916,7 @@ void Core::start_rdv_data(Request* req, Entry& cts) {
     e.offset = offset;
     e.rail = static_cast<int>(r);
     e.epoch = req->epoch;
-    e.bytes.assign(req->sbuf + offset, req->sbuf + offset + shares[r]);
+    e.bytes = Payload::view_of(req->sbuf + offset, shares[r]);
     e.sreq = req;
     e.span = req->span;
     offset += shares[r];
@@ -961,6 +963,10 @@ void Core::handle_rdv_data(int src, int fabric_rail, Entry& e) {
           .observe(std::abs(eng_.now() - e.pred_arrival) * 1e6);
     }
   }
+  // The one host copy of a rendezvous byte: the chunk views the sender's
+  // buffer, which stays owned by MPI until our RdvFin retires the send. It
+  // must stay after the grant/epoch check above — a stale chunk may view a
+  // buffer the sender has already reused.
   NMX_ASSERT(e.offset + e.bytes.size() <= req->len);
   if (!e.bytes.empty()) std::memcpy(req->rbuf + e.offset, e.bytes.data(), e.bytes.size());
   NMX_ASSERT(req->bytes_outstanding >= e.bytes.size());
@@ -1042,7 +1048,7 @@ void Core::handle_rail_down(int fabric_rail, bool from_wire) {
   d.dead = true;
   obs::Recorder* rec = eng_.recorder();
   if (rec != nullptr) {
-    rec->metrics().counter("nmad.fault.rail_down", "rail=" + std::to_string(lr)).add(1);
+    rec->metrics().counter("nmad.fault.rail_down", d.label).add(1);
   }
 
   // Displace everything queued on the dead rail and re-route it onto the
@@ -1067,8 +1073,7 @@ void Core::handle_rail_down(int fabric_rail, bool from_wire) {
         part.epoch = e.epoch;
         part.sreq = e.sreq;
         part.span = e.span;
-        part.bytes.assign(e.bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                          e.bytes.begin() + static_cast<std::ptrdiff_t>(off + shares[r]));
+        part.bytes = e.bytes.sub(off, shares[r]);
         off += shares[r];
         enqueue(std::move(part));
       }

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -135,7 +136,7 @@ class Core {
     std::size_t len = 0;
     std::uint64_t rdv_id = 0;
     std::uint64_t span = 0;  ///< sender's message span (deferred-match linking)
-    std::vector<std::byte> payload;  ///< eager only
+    Payload payload;  ///< eager snapshot only
   };
 
   /// An Eager or Rts entry waiting for its sequence turn (multirail safety).
@@ -189,6 +190,7 @@ class Core {
 
   struct Driver {
     int fabric_rail = 0;
+    std::string label;          ///< "rail=<local rail>" metric label
     bool busy = false;
     bool dead = false;          ///< fail-stop: never submit here again
     std::uint64_t tx_span = 0;  ///< open NicTx span (one per rail: busy-gated)

@@ -291,7 +291,7 @@ class StratCostModel final : public QueuedStrategy {
     std::uint64_t span = 0;
     std::uint32_t epoch = 0;   ///< grant epoch stamped on every carved chunk
     Request* sreq = nullptr;
-    std::vector<std::byte> bytes;
+    Payload bytes;  ///< view of the sender's buffer; each chunk is a sub-view
     /// Per local rail: absolute time the *receiver's* ingress is estimated
     /// free, from the CTS load advert (empty = no advert, one-ended model).
     std::vector<Time> remote_free_abs;
@@ -364,8 +364,7 @@ class StratCostModel final : public QueuedStrategy {
           std::max(rs.ready[static_cast<std::size_t>(rail)],
                    remote[static_cast<std::size_t>(rail)]) +
           sampling_.predict(rail, take + Entry::kRdvChunkHeader);
-      e.bytes.assign(job.bytes.begin() + static_cast<std::ptrdiff_t>(job.consumed),
-                     job.bytes.begin() + static_cast<std::ptrdiff_t>(job.consumed + take));
+      e.bytes = job.bytes.sub(job.consumed, take);
       job.consumed += take;
       rdv_backlog_ -= take;
       if (job.consumed == job.bytes.size()) jobs_.erase(it);

@@ -8,9 +8,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "nmad/types.hpp"
 
 namespace nmx::nmad {
@@ -40,6 +44,65 @@ static_assert(RailAd::kWireSize == sizeof(std::int32_t) + sizeof(std::uint64_t) 
               "backlog_bytes); update the constant and the CTS charging together");
 static_assert(RailAd::kWireSize == 20, "RailAd wire size is pinned at 20 bytes "
               "(tests/wire_test.cpp and the CTS header math both assume it)");
+
+/// An entry's payload bytes. Eager entries own a snapshot: the send completes
+/// at NIC egress, and the caller may then reuse its buffer. Rendezvous chunks
+/// are a non-owning view of the sender's buffer (§2.1.3 zero-copy), safe
+/// because the sender retires only on the receiver's RdvFin (DESIGN.md,
+/// "Payload ownership"). Copying a snapshot copies its bytes; copying a view
+/// copies the pointer.
+class Payload {
+ public:
+  Payload() = default;
+  /// Owned snapshot of `n` bytes at `src`: one uninitialised allocation
+  /// filled by one memcpy.
+  static Payload copy_of(const void* src, std::size_t n) {
+    Payload p;
+    if (n == 0) return p;
+    p.own_ = std::make_unique_for_overwrite<std::byte[]>(n);
+    std::memcpy(p.own_.get(), src, n);
+    p.data_ = p.own_.get();
+    p.size_ = n;
+    return p;
+  }
+  /// Non-owning view of `n` bytes at `src`; the caller keeps them alive.
+  static Payload view_of(const std::byte* src, std::size_t n) {
+    Payload p;
+    p.data_ = src;
+    p.size_ = n;
+    return p;
+  }
+
+  Payload(const Payload& o)
+      : Payload(o.own_ ? copy_of(o.data_, o.size_) : view_of(o.data_, o.size_)) {}
+  Payload(Payload&& o) noexcept
+      : own_(std::move(o.own_)),
+        data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)) {}
+  Payload& operator=(Payload o) noexcept {
+    own_ = std::move(o.own_);
+    data_ = o.data_;
+    size_ = o.size_;
+    return *this;
+  }
+
+  /// View of bytes [off, off + n) of this view. Views only: a sub-view of a
+  /// snapshot would dangle once the snapshot is freed.
+  Payload sub(std::size_t off, std::size_t n) const {
+    NMX_ASSERT(!own_ && off + n <= size_);
+    return view_of(data_ + off, n);
+  }
+
+  const std::byte* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::unique_ptr<std::byte[]> own_;  ///< set for a snapshot, null for a view
+  const std::byte* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+static_assert(sizeof(Payload) == 24, "Payload stays the size of the std::vector it replaced");
 
 /// One protocol unit queued toward a destination.
 struct Entry {
@@ -97,7 +160,7 @@ struct Entry {
   double coll_value = 0;
   /// CollCtl: reduce op (kCollOpMask bits) + phase (kCollDown bit).
   std::uint32_t coll_ctl = 0;
-  std::vector<std::byte> bytes; ///< Eager payload or RdvChunk data
+  Payload bytes;  ///< Eager snapshot or RdvChunk view of the sender buffer
   /// Cts: the receiver's per-rail load advertisement (empty when the
   /// receiver does not advertise). Also rides the internal unplanned-RdvChunk
   /// hand-off from the core to chunk-planning strategies; never serialized
@@ -168,6 +231,9 @@ static_assert(Entry::kCollCtlHeader == Entry::kEagerHeader + sizeof(std::uint64_
                                            sizeof(double) + sizeof(std::uint32_t),
               "CollCtl header = eager bookkeeping + collective id (8) + combine value (8) + "
               "op/phase word (4)");
+static_assert(sizeof(Entry) == 160,
+              "every queued entry is moved by value; the payload view fits the 24 bytes "
+              "the owned vector used, so do not widen Entry to carry it");
 
 /// One NIC submission: entries aggregated for a single destination.
 struct WireMsg {
@@ -179,7 +245,7 @@ struct WireMsg {
     return std::accumulate(entries.begin(), entries.end(), std::size_t{0},
                            [](std::size_t a, const Entry& e) { return a + e.wire_bytes(); });
   }
-  /// Bytes that were memcpy'd into the packet wrapper (eager payloads) —
+  /// Bytes that were memcpy'd into the packet wrapper (eager snapshots) —
   /// charged at host copy bandwidth on submission.
   std::size_t copied_bytes() const {
     std::size_t n = 0;
@@ -187,7 +253,8 @@ struct WireMsg {
       if (e.kind == Entry::Kind::Eager) n += e.bytes.size();
     return n;
   }
-  /// Rendezvous payload bytes (zero-copy, but need registration on IB).
+  /// Rendezvous payload bytes: views of the sender's buffer, never copied on
+  /// the sender (zero-copy), but registered on the fly on IB.
   std::size_t rdv_bytes() const {
     std::size_t n = 0;
     for (const Entry& e : entries)

@@ -184,6 +184,7 @@ TEST_P(StrategyFuzz, NoLossNoDuplicationNoReorder) {
   opts.max_aggregate = 2048;
   auto strat = nmad::make_strategy(kind, sampling, opts);
 
+  const std::vector<std::byte> fill(1024);  // eager payload bytes, never read
   sim::Xoshiro256 rng(seed);
   struct Key {
     int dst;
@@ -200,7 +201,7 @@ TEST_P(StrategyFuzz, NoLossNoDuplicationNoReorder) {
     e.dst_proc = static_cast<int>(rng.below(4));
     e.tag = rng.below(3);
     e.seq = next_seq[{e.dst_proc, e.tag}]++;
-    e.bytes.resize(16 + rng.below(1000));
+    e.bytes = nmad::Payload::copy_of(fill.data(), 16 + rng.below(1000));
     injected.insert({e.dst_proc, (static_cast<std::uint32_t>(e.dst_proc) << 16) |
                                      static_cast<std::uint32_t>(id++)});
     strat->enqueue(std::move(e));

@@ -332,8 +332,112 @@ TEST_P(RestartSweep, NoGrantIsOrphanedAtAnyRestartTime) {
 INSTANTIATE_TEST_SUITE_P(AcrossEgressCompletion, RestartSweep,
                          ::testing::Values(0.5e-3, 1.5e-3, 2.5e-3, 3.1e-3, 3.3e-3, 3.5e-3),
                          [](const auto& info) {
-                           return "t" + std::to_string(static_cast<int>(info.param * 1e4));
+                           std::string name = "t";
+                           name += std::to_string(static_cast<int>(info.param * 1e4));
+                           return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Rendezvous view lifetime: data chunks are views of the sender's buffer
+// (zero-copy), so nothing may read that buffer once the send completes. The
+// sender overwrites and frees each buffer the moment its wait() returns; the
+// receiver must still hold the original bytes, delivered exactly once. Under
+// the sanitizers a read through a stale view is a use-after-free.
+// ---------------------------------------------------------------------------
+
+enum class ViewFault { None, Restart, RailDown };
+
+struct ViewCase {
+  const char* name;
+  nmad::StrategyKind strategy;
+  ViewFault fault;
+};
+
+Outcome run_view_lifetime(const ViewCase& vc) {
+  constexpr int kMsgs = 2;  // the second message queues behind the first
+  constexpr std::size_t kLen = 8_MiB;
+  mpi::ClusterConfig cfg = base_cfg();
+  cfg.trace = true;
+  cfg.strategy = vc.strategy;
+  cfg.faults.seed = 1;
+  // Restart while the first message drains: its in-flight chunks land stale.
+  if (vc.fault == ViewFault::Restart) cfg.faults.restart.push_back({1.5e-3, /*proc=*/1});
+  // Rail death while the first message drains: the second one's queued
+  // rail-1 share is re-split onto rail 0.
+  if (vc.fault == ViewFault::RailDown) cfg.faults.rail_down.push_back({1e-3, /*rail=*/1});
+  mpi::Cluster cluster(cfg);
+  Outcome o;
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::vector<std::byte>> bufs(kMsgs);
+      std::vector<mpi::Request> reqs;
+      for (int m = 0; m < kMsgs; ++m) {
+        auto& buf = bufs[static_cast<std::size_t>(m)];
+        buf.resize(kLen);
+        for (std::size_t i = 0; i < kLen; ++i) buf[i] = pattern(m, i);
+        reqs.push_back(c.isend(buf.data(), kLen, 1, m));
+      }
+      for (int m = 0; m < kMsgs; ++m) {
+        c.wait(reqs[static_cast<std::size_t>(m)]);
+        auto& buf = bufs[static_cast<std::size_t>(m)];
+        buf.assign(kLen, std::byte{0xa5});  // reuse: MPI owns it no longer
+        std::vector<std::byte>().swap(buf);  // and free it
+      }
+    } else if (c.rank() == 1) {
+      std::vector<std::vector<std::byte>> bufs(kMsgs,
+                                               std::vector<std::byte>(kLen, std::byte{0xee}));
+      std::vector<mpi::Request> reqs;
+      for (int m = 0; m < kMsgs; ++m) {
+        reqs.push_back(c.irecv(bufs[static_cast<std::size_t>(m)].data(), kLen, 0, m));
+      }
+      for (mpi::Request& r : reqs) {
+        c.wait(r);
+        ++o.recvs;
+      }
+      for (int m = 0; m < kMsgs; ++m) {
+        const auto& buf = bufs[static_cast<std::size_t>(m)];
+        for (std::size_t i = 0; i < kLen; ++i) {
+          if (buf[i] != pattern(m, i)) ++o.bad_bytes;
+        }
+      }
+    }
+  });
+  o.elapsed = cluster.now();
+  for (const auto& [key, c] : cluster.recorder()->metrics().counters()) o.counters[key] = c.value();
+  return o;
+}
+
+class ViewLifetime : public ::testing::TestWithParam<ViewCase> {};
+
+TEST_P(ViewLifetime, ReceiverKeepsOriginalBytesAfterSenderReusesAndFrees) {
+  const ViewCase& vc = GetParam();
+  const Outcome o = run_view_lifetime(vc);
+  EXPECT_EQ(o.recvs, 2u) << "lost or duplicated completion";
+  EXPECT_EQ(o.bad_bytes, 0u) << "receiver read the sender buffer after the send completed";
+  EXPECT_LT(o.elapsed, kRecoveryBound);
+  if (vc.fault == ViewFault::Restart) {
+    EXPECT_EQ(o.counter("nmad.fault.restarts"), 1u);
+    EXPECT_GT(o.counter("nmad.rdv.stale_chunks"), 0u) << "no stale chunk was dropped";
+  }
+  if (vc.fault == ViewFault::RailDown) {
+    EXPECT_GE(o.counter("nmad.fault.rail_down", "rail=1"), 1u);
+    if (vc.strategy == nmad::StrategyKind::SplitBalance) {
+      EXPECT_GT(o.counter("nmad.fault.rerouted_bytes"), 0u) << "no queued chunk was re-split";
+    }
+  }
+}
+
+constexpr ViewCase kViewCases[] = {
+    {"split_healthy", nmad::StrategyKind::SplitBalance, ViewFault::None},
+    {"split_restart", nmad::StrategyKind::SplitBalance, ViewFault::Restart},
+    {"split_rail_down", nmad::StrategyKind::SplitBalance, ViewFault::RailDown},
+    {"cost_healthy", nmad::StrategyKind::CostModel, ViewFault::None},
+    {"cost_restart", nmad::StrategyKind::CostModel, ViewFault::Restart},
+    {"cost_rail_down", nmad::StrategyKind::CostModel, ViewFault::RailDown},
+};
+
+INSTANTIATE_TEST_SUITE_P(EightMiB, ViewLifetime, ::testing::ValuesIn(kViewCases),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------------
 // Fault-matrix smoke: every kind x one more seed, oracle only

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
 #include <cstring>
 #include <numeric>
 
@@ -80,13 +81,16 @@ TEST(Sampling, EvenSplitIsNaive) {
 // Strategies
 // ---------------------------------------------------------------------------
 
+// Payload bytes for entries whose contents a test never reads.
+const std::vector<std::byte> kFill(1_MiB);
+
 Entry eager_entry(int dst, Tag tag, std::uint32_t seq, std::size_t n) {
   Entry e;
   e.kind = Entry::Kind::Eager;
   e.dst_proc = dst;
   e.tag = tag;
   e.seq = seq;
-  e.bytes.resize(n);
+  e.bytes = Payload::copy_of(kFill.data(), n);
   return e;
 }
 
@@ -150,7 +154,7 @@ TEST(Strategy, RdvChunksTravelAlone) {
   chunk.kind = Entry::Kind::RdvChunk;
   chunk.dst_proc = 1;
   chunk.rail = 0;
-  chunk.bytes.resize(100000);
+  chunk.bytes = Payload::view_of(kFill.data(), 100000);
   strat->enqueue(std::move(chunk));
   auto wm1 = strat->next(0, 0);
   ASSERT_TRUE(wm1.has_value());
@@ -207,12 +211,14 @@ TEST(Strategy, CostModelCarvesRendezvousIntoQuantumChunks) {
   ASSERT_TRUE(strat->plans_rdv_chunks());
 
   const std::size_t len = 300_KiB;
+  std::vector<std::byte> src(len);
+  for (std::size_t i = 0; i < len; ++i) src[i] = static_cast<std::byte>(i * 13);
   Entry job;
   job.kind = Entry::Kind::RdvChunk;
   job.dst_proc = 1;
   job.rdv_id = 1;
   job.rail = -1;  // unplanned: the strategy carves it
-  job.bytes.resize(len);
+  job.bytes = Payload::view_of(src.data(), len);
   strat->enqueue(std::move(job));
   EXPECT_EQ(strat->rdv_backlog_bytes(), len);
 
@@ -228,6 +234,10 @@ TEST(Strategy, CostModelCarvesRendezvousIntoQuantumChunks) {
     ASSERT_EQ(e.kind, Entry::Kind::RdvChunk);
     EXPECT_LE(e.bytes.size(), opts.rdv_quantum);  // quantum respected
     EXPECT_GT(e.bytes.size(), 0u);
+    // Each carve is a sub-view of the job, not a copy.
+    EXPECT_EQ(e.bytes.data(), src.data() + e.offset);
+    EXPECT_TRUE(std::equal(e.bytes.data(), e.bytes.data() + e.bytes.size(),
+                           src.begin() + static_cast<std::ptrdiff_t>(e.offset)));
     per_rail[static_cast<std::size_t>(e.rail)] += e.bytes.size();
     cover.emplace_back(e.offset, e.bytes.size());
   }
@@ -379,6 +389,123 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
   const Time split = timed(StrategyKind::SplitBalance);
   const Time cost = timed(StrategyKind::CostModel);
   EXPECT_LT(cost, split * 1.05);  // no idle-fabric regression
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy rendezvous: every data chunk that reaches the receiver is a view
+// of the sender's buffer at the chunk's offset, not a copy — whether the core
+// planned it (SplitBalance), the strategy carved it (CostModel) or a rail
+// death re-split it onto the survivor. The receiver's landing memcpy is then
+// the one host copy of each payload byte.
+// ---------------------------------------------------------------------------
+
+struct ZeroCopyFixture : ::testing::Test {
+  struct Landed {
+    std::uint64_t rdv_id;
+    std::size_t offset;
+    const std::byte* data;
+    std::size_t len;
+    int fabric_rail;
+  };
+
+  sim::Engine eng;
+  net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
+  net::Fabric fabric{eng, topo};
+  net::ProcRouter router0{fabric, 0};
+  net::ProcRouter router1{fabric, 1};
+  // The receiving core registers with `inner`; the tap in `router1` records
+  // each chunk before handing the packet on. `inner` hangs off a fabric
+  // nothing transmits on, so only the tap feeds it.
+  net::Fabric tap_fabric{eng, topo};
+  net::ProcRouter inner{tap_fabric, 1};
+  std::vector<Landed> landed;
+  std::vector<std::vector<std::byte>> sent;
+  std::vector<std::uint64_t> rdv_ids;  ///< per message, from its send request
+
+  /// Two 8 MiB rendezvous 0 -> 1 (the second queues behind the first);
+  /// `rail1_down_at` > 0 kills rail 1 at that time.
+  void run(StrategyKind kind, Time rail1_down_at = 0) {
+    sim::FaultSpec spec;
+    if (rail1_down_at > 0) spec.rail_down.push_back({rail1_down_at, /*rail=*/1});
+    sim::FaultPlan plan(spec);
+    fabric.set_fault_plan(&plan);
+    Core::ExtendedConfig cfg;
+    cfg.strategy = kind;
+    cfg.rails = {0, 1};
+    cfg.fault_plan = &plan;
+    Core a(eng, fabric, router0, 0, cfg);
+    Core b(eng, fabric, inner, 1, cfg);
+    router1.register_proc(1, [this](net::WirePacket&& pkt) {
+      for (const Entry& e : std::any_cast<WireMsg&>(pkt.payload).entries) {
+        if (e.kind == Entry::Kind::RdvChunk) {
+          landed.push_back({e.rdv_id, e.offset, e.bytes.data(), e.bytes.size(), pkt.rail});
+        }
+      }
+      inner.deliver_local(std::move(pkt));
+    });
+    plan.arm(eng);
+    a.enter_progress();
+    b.enter_progress();
+
+    const std::size_t big = 8_MiB;
+    std::vector<std::vector<std::byte>> got(2, std::vector<std::byte>(big));
+    for (int m = 0; m < 2; ++m) {
+      sent.emplace_back(big);
+      for (std::size_t i = 0; i < big; ++i) {
+        sent.back()[i] = static_cast<std::byte>((i * 7 + static_cast<std::size_t>(m) * 91) & 0xff);
+      }
+    }
+    std::vector<Request*> sends;
+    for (int m = 0; m < 2; ++m) {
+      b.irecv(0, m, got[static_cast<std::size_t>(m)].data(), big);
+      sends.push_back(a.isend(1, m, sent[static_cast<std::size_t>(m)].data(), big));
+      rdv_ids.push_back(sends.back()->rdv_id);
+    }
+    eng.run();
+    fabric.set_fault_plan(nullptr);
+    for (int m = 0; m < 2; ++m) {
+      ASSERT_TRUE(sends[static_cast<std::size_t>(m)]->completed);
+      EXPECT_EQ(got[static_cast<std::size_t>(m)], sent[static_cast<std::size_t>(m)]);
+    }
+  }
+
+  /// Every landed chunk points into its own message's send buffer at its
+  /// offset, and the chunks of each message tile it exactly once.
+  void expect_chunks_view_the_send_buffers() {
+    ASSERT_FALSE(landed.empty());
+    std::vector<std::size_t> covered(rdv_ids.size(), 0);
+    for (const Landed& c : landed) {
+      const auto m = static_cast<std::size_t>(
+          std::find(rdv_ids.begin(), rdv_ids.end(), c.rdv_id) - rdv_ids.begin());
+      ASSERT_LT(m, rdv_ids.size()) << "chunk of an unknown rendezvous";
+      EXPECT_EQ(c.data, sent[m].data() + c.offset) << "chunk was copied, not viewed";
+      covered[m] += c.len;
+    }
+    for (std::size_t m = 0; m < rdv_ids.size(); ++m) EXPECT_EQ(covered[m], sent[m].size());
+  }
+};
+
+TEST_F(ZeroCopyFixture, SplitBalancePlannedChunksViewTheSenderBuffer) {
+  run(StrategyKind::SplitBalance);
+  expect_chunks_view_the_send_buffers();
+  EXPECT_EQ(landed.size(), 4u);  // one chunk per rail per message
+}
+
+TEST_F(ZeroCopyFixture, CostModelCarvedChunksViewTheSenderBuffer) {
+  run(StrategyKind::CostModel);
+  expect_chunks_view_the_send_buffers();
+  EXPECT_GE(landed.size(), 8u);  // at least 8 MiB / 2 MiB quantum per message
+}
+
+TEST_F(ZeroCopyFixture, RailDownResplitChunksViewTheSenderBuffer) {
+  // Rail 1 dies while the first message drains: the second message's rail-1
+  // chunk, still queued, is displaced and re-split onto rail 0.
+  run(StrategyKind::SplitBalance, /*rail1_down_at=*/1e-3);
+  expect_chunks_view_the_send_buffers();
+  const bool resplit = std::any_of(landed.begin(), landed.end(), [](const Landed& c) {
+    return c.fabric_rail == 0 && c.offset > 0;
+  });
+  EXPECT_TRUE(resplit) << "no rail-1 share was re-split onto rail 0";
 }
 
 TEST_F(CoreFixture, PerTagFifoMatchingOrder) {

@@ -17,6 +17,9 @@
 namespace nmx {
 namespace {
 
+// Payload bytes for entries whose contents a test never reads.
+const std::vector<std::byte> kFill(64_KiB);
+
 class StrategyProperty
     : public ::testing::TestWithParam<std::tuple<nmad::StrategyKind, std::uint64_t>> {};
 
@@ -86,7 +89,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
     e.dst_proc = static_cast<int>(rng.below(4));
     e.tag = rng.below(3);
     e.seq = next_seq[{e.dst_proc, e.tag}]++;
-    e.bytes.resize(1 + rng.below(2000));
+    e.bytes = nmad::Payload::copy_of(kFill.data(), 1 + rng.below(2000));
     eager_bytes_in += e.bytes.size();
     strat->enqueue(std::move(e));
   }
@@ -95,7 +98,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
   // strategies get the whole payload unplanned (rail = -1, as the core
   // does); static planners get pre-split chunks from their own plan.
   struct Rdv {
-    std::size_t len;
+    std::vector<std::byte> src;  ///< the sender buffer every chunk must view
     std::vector<std::pair<std::size_t, std::size_t>> out;  ///< (offset, len) seen
   };
   std::map<std::uint64_t, Rdv> rdvs;
@@ -104,8 +107,8 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
   };
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const std::size_t len = 64_KiB + rng.below(1u << 20);
-    rdvs[id].len = len;
-    std::vector<std::byte> payload(len);
+    std::vector<std::byte>& payload = rdvs[id].src;
+    payload.resize(len);
     for (std::size_t i = 0; i < len; ++i) payload[i] = pattern(id, i);
     if (strat->plans_rdv_chunks()) {
       nmad::Entry e;
@@ -114,7 +117,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
       e.rdv_id = id;
       e.offset = 0;
       e.rail = -1;
-      e.bytes = std::move(payload);
+      e.bytes = nmad::Payload::view_of(payload.data(), len);
       strat->enqueue(std::move(e));
     } else {
       const std::vector<std::size_t> shares = strat->plan_rdv(len);
@@ -128,8 +131,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
         e.rdv_id = id;
         e.offset = off;
         e.rail = static_cast<int>(r);
-        e.bytes.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
-                       payload.begin() + static_cast<std::ptrdiff_t>(off + shares[r]));
+        e.bytes = nmad::Payload::view_of(payload.data() + off, shares[r]);
         off += shares[r];
         strat->enqueue(std::move(e));
       }
@@ -165,8 +167,11 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
             ASSERT_EQ(e.kind, nmad::Entry::Kind::RdvChunk);
             ASSERT_TRUE(rdvs.count(e.rdv_id));
             EXPECT_GT(e.bytes.size(), 0u);
+            // A chunk is a view of the sender buffer at its offset, never a copy.
+            ASSERT_EQ(e.bytes.data(), rdvs[e.rdv_id].src.data() + e.offset)
+                << "chunk copied instead of viewed";
             for (std::size_t i = 0; i < e.bytes.size(); i += 97) {
-              ASSERT_EQ(e.bytes[i], pattern(e.rdv_id, e.offset + i)) << "payload corrupted";
+              ASSERT_EQ(e.bytes.data()[i], pattern(e.rdv_id, e.offset + i)) << "payload corrupted";
             }
             rdvs[e.rdv_id].out.emplace_back(e.offset, e.bytes.size());
           }
@@ -190,7 +195,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
       EXPECT_EQ(off, cursor) << "gap or overlap in rendezvous " << id;
       cursor = off + len;
     }
-    EXPECT_EQ(cursor, rdv.len) << "rendezvous " << id << " bytes lost";
+    EXPECT_EQ(cursor, rdv.src.size()) << "rendezvous " << id << " bytes lost";
   }
 
   // Accounting drains to zero with the queues.
@@ -339,6 +344,7 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
   auto drain = [&](const std::vector<nmad::RailAd>& ads, std::size_t len,
                    std::vector<std::size_t>& per_rail) {
     auto strat = nmad::make_strategy(nmad::StrategyKind::CostModel, sampling, opts);
+    const std::vector<std::byte> src(len);
     nmad::Entry e;
     e.kind = nmad::Entry::Kind::RdvChunk;
     e.dst_proc = 1;
@@ -346,7 +352,7 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
     e.offset = 0;
     e.rail = -1;  // unplanned: the strategy carves chunks itself
     e.rail_ads = ads;
-    e.bytes.resize(len);
+    e.bytes = nmad::Payload::view_of(src.data(), len);
     strat->enqueue(std::move(e));
     EXPECT_EQ(strat->rdv_backlog_bytes(), len);
 
@@ -362,6 +368,7 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
           progress = true;
           for (const nmad::Entry& c : wm->entries) {
             ASSERT_EQ(c.kind, nmad::Entry::Kind::RdvChunk);
+            EXPECT_EQ(c.bytes.data(), src.data() + c.offset);
             per_rail[static_cast<std::size_t>(r)] += c.bytes.size();
             cover.emplace_back(c.offset, c.bytes.size());
           }
@@ -427,7 +434,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
     e.rdv_id = 9;
     e.offset = 0;
     e.rail = -1;
-    e.bytes.resize(kLen);
+    e.bytes = nmad::Payload::view_of(kFill.data(), kLen);
     strat->enqueue(std::move(e));
 
     const auto wm = strat->next(0, /*src=*/0);  // carve one chunk first
@@ -451,6 +458,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
   {  // SplitBalance: pre-planned chunks sitting in the rail queues.
     auto strat = nmad::make_strategy(nmad::StrategyKind::SplitBalance, sampling, opts);
     constexpr std::size_t kLen = 128_KiB;
+    const std::vector<std::byte> src(kLen);
     const std::vector<std::size_t> shares = strat->plan_rdv(kLen);
     std::size_t off = 0;
     for (std::size_t r = 0; r < shares.size(); ++r) {
@@ -461,7 +469,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
       c.rdv_id = 11;
       c.offset = off;
       c.rail = static_cast<int>(r);
-      c.bytes.resize(shares[r]);
+      c.bytes = nmad::Payload::view_of(src.data() + off, shares[r]);
       off += shares[r];
       strat->enqueue(std::move(c));
     }
@@ -471,7 +479,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
     keep.kind = nmad::Entry::Kind::Eager;
     keep.dst_proc = 2;
     keep.tag = 3;
-    keep.bytes.resize(256);
+    keep.bytes = nmad::Payload::copy_of(kFill.data(), 256);
     strat->enqueue(std::move(keep));
 
     EXPECT_EQ(strat->cancel_rdv(/*dst=*/2, /*rdv_id=*/11), kLen);

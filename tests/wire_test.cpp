@@ -7,14 +7,20 @@
 // free, or the chaos tier's recovery-time bounds measure fiction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nmad/wire.hpp"
 
 namespace {
 
 using namespace nmx;
 using nmad::Entry;
+using nmad::Payload;
 using nmad::RailAd;
 using nmad::WireMsg;
+
+// Payload bytes for entries whose contents these tests never read.
+const std::vector<std::byte> kFill(4096);
 
 TEST(WireFormat, EveryKindHeaderMatchesItsFieldLayout) {
   static_assert(Entry::kNumKinds == 7, "new Kind added: extend this test");
@@ -120,7 +126,7 @@ TEST(WireFormat, DiagnosticFieldsAreNotWireCharged) {
   // would not serialize; stamping them must not change the charged size.
   Entry e;
   e.kind = Entry::Kind::RdvChunk;
-  e.bytes.resize(1024);
+  e.bytes = Payload::view_of(kFill.data(), 1024);
   const std::size_t base = e.wire_bytes();
   e.span = 42;
   e.pred_arrival = 1.5;
@@ -132,19 +138,53 @@ TEST(WireFormat, WireMsgAggregatesEntryCosts) {
   WireMsg wm;
   Entry eager;
   eager.kind = Entry::Kind::Eager;
-  eager.bytes.resize(100);
+  eager.bytes = Payload::copy_of(kFill.data(), 100);
   Entry cts;
   cts.kind = Entry::Kind::Cts;
   cts.rail_ads.resize(2);
   Entry chunk;
   chunk.kind = Entry::Kind::RdvChunk;
-  chunk.bytes.resize(2048);
+  chunk.bytes = Payload::view_of(kFill.data(), 2048);
   wm.entries = {eager, cts, chunk};
   EXPECT_EQ(wm.wire_bytes(), (Entry::kEagerHeader + 100) +
                                  (Entry::kCtsHeaderBase + 2 * RailAd::kWireSize) +
                                  (Entry::kRdvChunkHeader + 2048));
   EXPECT_EQ(wm.copied_bytes(), 100u);  // only the eager payload is memcpy'd
   EXPECT_EQ(wm.rdv_bytes(), 2048u);    // only the chunk needs registration
+}
+
+TEST(WirePayload, SnapshotOwnsItsBytesAndViewAliasesTheSource) {
+  std::vector<std::byte> src(64);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::byte>(i);
+
+  // An eager snapshot is independent of the sender buffer (the send may
+  // complete and the caller reuse it), and copying it copies the bytes.
+  const Payload snap = Payload::copy_of(src.data(), src.size());
+  const Payload snap_copy = snap;
+  EXPECT_NE(snap.data(), src.data());
+  EXPECT_NE(snap_copy.data(), snap.data());
+  src.assign(src.size(), std::byte{0xff});
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(snap.data()[i], static_cast<std::byte>(i));
+    EXPECT_EQ(snap_copy.data()[i], static_cast<std::byte>(i));
+  }
+  EXPECT_TRUE(Payload::copy_of(src.data(), 0).empty());
+
+  // A rendezvous view is the sender buffer itself; copies and sub-views
+  // alias it, so no byte is copied until the receiver lands the chunk.
+  const Payload view = Payload::view_of(src.data(), src.size());
+  const Payload view_copy = view;
+  const Payload part = view.sub(16, 8);
+  EXPECT_EQ(view.data(), src.data());
+  EXPECT_EQ(view_copy.data(), src.data());
+  EXPECT_EQ(part.data(), src.data() + 16);
+  EXPECT_EQ(part.size(), 8u);
+
+  // A move leaves the source empty, so moved-from entries charge no payload.
+  Payload from = Payload::copy_of(src.data(), 8);
+  const Payload to = std::move(from);
+  EXPECT_EQ(to.size(), 8u);
+  EXPECT_TRUE(from.empty());
 }
 
 }  // namespace

@@ -18,6 +18,11 @@
 //                  it from 8 up to 1024 ranks (--ranks=128,256,512,1024);
 //                  peak RSS must stay sub-linear in ranks (pooled lazily
 //                  committed stacks), gated by --rss-sublinear in CI.
+//   * nas_ft_s   — NAS FT class S on 64 ranks, same testbed but IB+MX with
+//                  the CostModel strategy: an all-to-all where every core
+//                  queues traffic for every other, so it runs the
+//                  many-destination scheduling path (the strategies'
+//                  round-robin over active destinations) that CG leaves cold.
 //
 // Each run reports simulated events, wall seconds, events/sec and peak RSS,
 // and the whole session is emitted as a JSON array (BENCH_engine.json):
@@ -28,7 +33,7 @@
 //
 // Flags:  --ranks=8,16     NAS rank subset (default 8,16,32,64)
 //         --out=PATH       JSON output path (default BENCH_engine.json)
-//         --skip-storm / --skip-spawn / --skip-nas
+//         --skip-storm / --skip-spawn / --skip-nas (CG and FT)
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -154,11 +159,15 @@ Row run_spawn() {
   return r;
 }
 
-Row run_nas(int ranks) {
+/// One NAS class S run on the fig8 Grid'5000 testbed (10 nodes, cyclic
+/// placement, MPICH2-NMad + PIOMan) over `rails` with strategy `strat`.
+Row run_nas(const char* bench, const char* kernel, int ranks, std::vector<net::NicProfile> rails,
+            nmad::StrategyKind strat) {
   mpi::ClusterConfig cfg;
-  cfg.nodes = 10;  // the fig8 Grid'5000 testbed
+  cfg.nodes = 10;
   cfg.procs = ranks;
-  cfg.rails = {net::ib_profile()};
+  cfg.rails = std::move(rails);
+  cfg.strategy = strat;
   cfg.cyclic_mapping = true;
   cfg.stack = mpi::StackKind::Mpich2Nmad;
   cfg.pioman = true;
@@ -167,12 +176,12 @@ Row run_nas(int ranks) {
   mpi::Cluster cluster(cfg);
   nas::NasConfig nc;
   nc.cls = nas::NasClass::S;  // CI-budget class; the shape is rank-scaling
-  const nas::NasResult res = nas::run_nas(cluster, "CG", nc);
+  const nas::NasResult res = nas::run_nas(cluster, kernel, nc);
   const auto t1 = std::chrono::steady_clock::now();
   (void)res;
 
   Row r;
-  r.bench = "nas_cg_s";
+  r.bench = bench;
   r.ranks = ranks;
   r.events = cluster.engine().events_processed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -238,7 +247,11 @@ int main(int argc, char** argv) {
   if (do_storm) report(run_storm());
   if (do_spawn) report(run_spawn());
   if (do_nas) {
-    for (int n : ranks) report(run_nas(n));
+    for (int n : ranks) {
+      report(run_nas("nas_cg_s", "CG", n, {net::ib_profile()}, nmad::StrategyKind::Aggreg));
+    }
+    report(run_nas("nas_ft_s", "FT", 64, {net::ib_profile(), net::mx_profile()},
+                   nmad::StrategyKind::CostModel));
   }
   write_json(rows, out_path);
   std::printf("wrote %s\n", out_path.c_str());

@@ -52,6 +52,7 @@ Comm Comm::split(int color, int key) {
     sub.group_.push_back(world);
     if (members[i].parent_rank == rank_) sub.rank_ = static_cast<int>(i);
   }
+  sub.index_group();
   // Context allocation: every member executes the same split sequence, so
   // this counter agrees across the group. Distinct colors get distinct
   // blocks so sibling communicators cannot cross-match.
@@ -65,6 +66,16 @@ Comm Comm::split(int color, int key) {
   next_split_ctx_ += 16 * (1 + max_color);
   sub.next_split_ctx_ = 16;
   return sub;
+}
+
+void Comm::index_group() {
+  by_world_.clear();
+  if (std::is_sorted(group_.begin(), group_.end())) return;
+  by_world_.reserve(group_.size());
+  for (std::size_t local = 0; local < group_.size(); ++local) {
+    by_world_.emplace_back(group_[local], static_cast<int>(local));
+  }
+  std::sort(by_world_.begin(), by_world_.end());
 }
 
 int Comm::waitany(std::span<Request> reqs, Status* st) {

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstddef>
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -305,17 +307,25 @@ class Comm {
   int global_or_any(int local) const { return local == ANY_SOURCE ? ANY_SOURCE : global(local); }
   /// world rank in a status -> local rank in this communicator
   Status localized(Status st) const {
-    if (st.source >= 0) {
-      for (int p = 0; p < size_; ++p) {
-        if (group_[static_cast<std::size_t>(p)] == st.source) {
-          st.source = p;
-          return st;
-        }
-      }
-      NMX_FAIL("status source outside this communicator");
-    }
+    if (st.source >= 0) st.source = local_of(st.source);
     return st;
   }
+  /// Binary search: group_ itself when it is sorted by world rank (the world
+  /// communicator, key-ordered splits), else the (world, local) index.
+  int local_of(int world) const {
+    if (by_world_.empty()) {
+      const auto it = std::lower_bound(group_.begin(), group_.end(), world);
+      NMX_ASSERT_MSG(it != group_.end() && *it == world, "status source outside this communicator");
+      return static_cast<int>(it - group_.begin());
+    }
+    const auto it = std::lower_bound(by_world_.begin(), by_world_.end(), world,
+                                     [](const auto& wl, int w) { return wl.first < w; });
+    NMX_ASSERT_MSG(it != by_world_.end() && it->first == world,
+                   "status source outside this communicator");
+    return it->second;
+  }
+  /// Build by_world_ for a group that is not sorted by world rank.
+  void index_group();
   // collective-internal pt2pt on the collective context
   void csend(const void* buf, std::size_t len, int dst, int tag);
   Status crecv(void* buf, std::size_t cap, int src, int tag);
@@ -345,6 +355,8 @@ class Comm {
   int size_;
   int local_ranks_;
   std::vector<int> group_;  ///< local rank -> world rank
+  /// (world, local) sorted by world rank; empty when group_ is sorted.
+  std::vector<std::pair<int, int>> by_world_;
   int ctx_base_ = 0;        ///< context block of this communicator
   int next_split_ctx_ = 16; ///< context block for the next split (collective)
   coll::Config coll_;       ///< collective algorithm selection

@@ -215,14 +215,11 @@ void Core::release(Request* r) {
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
   const Unexpected* best = nullptr;
   ProbeInfo info;
-  // nmx-lint: allow(determinism) selection is tie-broken to a total order below; visitation order cannot leak
-  for (const auto& [key, ch] : channels_) {
-    if (ch.unexpected.empty() || (src && *src != key.peer) || !sel.matches(key.tag)) continue;
+  channels_.for_each([&](const ChannelKey& key, const Channel& ch) {
+    if (ch.unexpected.empty() || (src && *src != key.peer) || !sel.matches(key.tag)) return;
     const Unexpected& u = ch.unexpected.front();
-    // Total order on candidates: earliest arrival, then lowest (src, tag).
-    // The explicit tie-break makes the selection independent of the hash-map
-    // visitation order — two messages landing at the same instant would
-    // otherwise be picked by whichever bucket came first.
+    // Total order on candidates: earliest arrival, then lowest (src, tag),
+    // so the pick never depends on the order channels were created in.
     const bool better =
         best == nullptr || u.arrival < best->arrival ||
         (u.arrival == best->arrival &&
@@ -233,7 +230,7 @@ std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) co
       info.tag = key.tag;
       info.len = u.len;
     }
-  }
+  });
   if (!best) return std::nullopt;
   return info;
 }
@@ -608,7 +605,7 @@ void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
   }
   // Deliver this entry, then any stashed successors that are now in order.
   // The channel reference stays valid across the upcalls: the table never
-  // erases, and unordered_map insertions do not move elements.
+  // erases, and channels created inside an upcall do not move this one.
   for (;;) {
     ++ch.recv_seq;
     if (e.kind == Entry::Kind::Eager) {

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stable_map.hpp"
 #include "net/fabric.hpp"
 #include "net/router.hpp"
 #include "nmad/sampling.hpp"
@@ -164,9 +165,8 @@ class Core {
     bool operator==(const ChannelKey&) const = default;
   };
   struct ChannelKeyHash {
-    std::size_t operator()(const ChannelKey& k) const noexcept {
-      return static_cast<std::size_t>(k.tag * 0x9E3779B97F4A7C15ULL ^
-                                      static_cast<std::uint32_t>(k.peer));
+    std::uint64_t operator()(const ChannelKey& k) const noexcept {
+      return k.tag * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint32_t>(k.peer);
     }
   };
 
@@ -313,7 +313,10 @@ class Core {
   std::vector<Driver> drivers_;
 
   std::list<Request> live_;
-  std::unordered_map<ChannelKey, Channel, ChannelKeyHash> channels_;
+  /// The (peer, tag) matching table: one index probe per isend / irecv /
+  /// arrival. Channels are never erased and never move, so a Channel& held
+  /// across an upcall survives channels created inside it.
+  StableMap<ChannelKey, Channel, ChannelKeyHash> channels_;
   std::unordered_map<int, RxMix> rx_mix_;  ///< per peer; rendezvous paths only
   std::unordered_map<std::uint64_t, Request*> rdv_out_;  ///< rdv_id -> send req
   std::map<std::pair<int, std::uint64_t>, RdvIn> rdv_in_;

@@ -1,10 +1,10 @@
 #include "nmad/strategy.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/stable_map.hpp"
 
 namespace nmx::nmad {
 
@@ -12,6 +12,13 @@ namespace {
 
 /// Common machinery: per-(rail, destination) FIFOs with round-robin
 /// destination selection per rail, and per-rail queued-byte accounting.
+///
+/// Selection cost does not depend on how many destinations a rail has ever
+/// served: each rail keeps a dst-sorted list of the destinations whose queue
+/// is non-empty, and next() picks the first one at or after the rail's
+/// cursor (wrapping to the first), then moves the cursor past it. Queues
+/// are created on first use and never erased; the list holds only the
+/// non-empty ones.
 class QueuedStrategy : public Strategy {
  public:
   QueuedStrategy(const Sampling& sampling, StrategyOptions opts, bool aggregate)
@@ -19,44 +26,37 @@ class QueuedStrategy : public Strategy {
         opts_(opts),
         live_(sampling.num_rails(), true),
         aggregate_(aggregate),
+        rr_(sampling.num_rails()),
         backlog_(sampling.num_rails(), 0) {}
 
   void enqueue(Entry e) override {
     if (e.kind != Entry::Kind::RdvChunk) e.rail = pick_rail(e);
     backlog_[static_cast<std::size_t>(e.rail)] += e.wire_bytes();
-    auto& q = queues_[{e.rail, e.dst_proc}];
+    std::deque<Entry>& q = queues_[queue_key(e.rail, e.dst_proc)];
+    if (q.empty()) {
+      std::vector<Active>& act = rr_[static_cast<std::size_t>(e.rail)].active;
+      act.insert(first_at_or_after(act, e.dst_proc), Active{e.dst_proc, &q});
+    }
     q.push_back(std::move(e));
     ++pending_;
   }
 
   std::optional<WireMsg> next(int rail, int src_proc) override {
     if (!rail_live(rail)) return std::nullopt;
+    RoundRobin& rr = rr_[static_cast<std::size_t>(rail)];
+    std::vector<Active>& act = rr.active;
+    if (act.empty()) return std::nullopt;
     // Round-robin across destinations that have traffic on this rail.
-    auto& cursor = rr_cursor_[rail];
-    auto begin = queues_.lower_bound({rail, cursor});
-    auto pick = queues_.end();
-    for (auto it = begin; it != queues_.end() && it->first.first == rail; ++it) {
-      if (!it->second.empty()) {
-        pick = it;
-        break;
-      }
-    }
-    if (pick == queues_.end()) {
-      for (auto it = queues_.lower_bound({rail, 0});
-           it != begin && it->first.first == rail; ++it) {
-        if (!it->second.empty()) {
-          pick = it;
-          break;
-        }
-      }
-    }
-    if (pick == queues_.end()) return std::nullopt;
+    int& cursor = rr.cursor;
+    auto pick = first_at_or_after(act, cursor);
+    if (pick == act.end()) pick = act.begin();
 
-    std::deque<Entry>& q = pick->second;
+    std::deque<Entry>& q = *pick->q;
+    const int dst = pick->dst;
     auto& backlog = backlog_[static_cast<std::size_t>(rail)];
     WireMsg wm;
     wm.src_proc = src_proc;
-    wm.dst_proc = pick->first.second;
+    wm.dst_proc = dst;
     // Debit the backlog before moving the entry out — wire_bytes() counts the
     // payload, which the move empties.
     auto take_front = [&] {
@@ -76,7 +76,8 @@ class QueuedStrategy : public Strategy {
       } while (aggregate_ && !q.empty() && q.front().kind != Entry::Kind::RdvChunk &&
                packed_bytes + q.front().bytes.size() <= opts_.max_aggregate);
     }
-    cursor = pick->first.second + 1;  // resume after this destination
+    if (q.empty()) act.erase(pick);
+    cursor = dst + 1;  // resume after this destination
     ++packets_built_;
     entries_sent_ += wm.entries.size();
     return wm;
@@ -90,19 +91,21 @@ class QueuedStrategy : public Strategy {
 
   std::size_t cancel_rdv(int dst, std::uint64_t rdv_id) override {
     std::size_t dropped = 0;
-    for (auto& [key, q] : queues_) {
-      if (key.second != dst) continue;
-      auto& backlog = backlog_[static_cast<std::size_t>(key.first)];
-      for (auto it = q.begin(); it != q.end();) {
+    for (std::size_t r = 0; r < rr_.size(); ++r) {
+      std::deque<Entry>* q = queues_.find(queue_key(static_cast<int>(r), dst));
+      if (q == nullptr || q->empty()) continue;
+      auto& backlog = backlog_[r];
+      for (auto it = q->begin(); it != q->end();) {
         if (it->kind == Entry::Kind::RdvChunk && it->rdv_id == rdv_id) {
           backlog -= std::min(backlog, it->wire_bytes());
           dropped += it->bytes.size();
-          it = q.erase(it);
+          it = q->erase(it);
           --pending_;
         } else {
           ++it;
         }
       }
+      if (q->empty()) rr_[r].active.erase(first_at_or_after(rr_[r].active, dst));
     }
     return dropped;
   }
@@ -112,15 +115,16 @@ class QueuedStrategy : public Strategy {
     live_[static_cast<std::size_t>(rail)] = false;
     std::vector<Entry> displaced;
     auto& backlog = backlog_[static_cast<std::size_t>(rail)];
-    auto it = queues_.lower_bound({rail, std::numeric_limits<int>::min()});
-    while (it != queues_.end() && it->first.first == rail) {
-      for (Entry& e : it->second) {
+    std::vector<Active>& act = rr_[static_cast<std::size_t>(rail)].active;
+    for (const Active& a : act) {  // ascending dst
+      for (Entry& e : *a.q) {
         backlog -= std::min(backlog, e.wire_bytes());
         --pending_;
         displaced.push_back(std::move(e));
       }
-      it = queues_.erase(it);
+      a.q->clear();
     }
+    act.clear();
     return displaced;
   }
 
@@ -143,10 +147,32 @@ class QueuedStrategy : public Strategy {
   std::vector<bool> live_;  ///< per local rail, cleared by on_rail_down
 
  private:
+  /// A destination with a non-empty queue on some rail.
+  struct Active {
+    int dst;
+    std::deque<Entry>* q;
+  };
+  /// One rail's round-robin state.
+  struct RoundRobin {
+    std::vector<Active> active;  ///< sorted by dst
+    int cursor = 0;              ///< next dst to serve
+  };
+  struct KeyHash {
+    std::uint64_t operator()(std::uint64_t k) const noexcept { return k; }
+  };
+
+  static std::uint64_t queue_key(int rail, int dst) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(rail)) << 32 |
+           static_cast<std::uint32_t>(dst);
+  }
+  static std::vector<Active>::iterator first_at_or_after(std::vector<Active>& act, int dst) {
+    return std::lower_bound(act.begin(), act.end(), dst,
+                            [](const Active& a, int d) { return a.dst < d; });
+  }
+
   bool aggregate_;
-  // (rail, dst) -> FIFO. Ordered map so round-robin iteration is stable.
-  std::map<std::pair<int, int>, std::deque<Entry>> queues_;
-  std::map<int, int> rr_cursor_;
+  StableMap<std::uint64_t, std::deque<Entry>, KeyHash> queues_;  ///< by queue_key(rail, dst)
+  std::vector<RoundRobin> rr_;  ///< per rail
   std::size_t pending_ = 0;
   std::vector<std::size_t> backlog_;  ///< queued wire bytes per rail
 };
@@ -334,6 +360,7 @@ class StratCostModel final : public QueuedStrategy {
   }
 
   std::optional<WireMsg> next_rdv_chunk(int rail, int src_proc) {
+    if (jobs_.empty()) return std::nullopt;  // skip the load-probe snapshot
     const ReadyState rs = rail_ready();
     for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
       RdvJob& job = *it;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>

@@ -53,6 +53,41 @@ TEST(CommSplit, Pt2PtUsesLocalRanksAndTranslatesStatus) {
   });
 }
 
+TEST(CommSplit, ReversedKeysReportLocalRanksFromRecvWaitanyAndProbe) {
+  mpi::Cluster cluster(cfg6());
+  cluster.run([](mpi::Comm& world) {
+    // Keys reverse the world order, so local rank = 5 - world rank and the
+    // group is not sorted by world rank: every status source has to go
+    // through the (world, local) index.
+    mpi::Comm rev = world.split(0, world.size() - world.rank());
+    ASSERT_EQ(rev.rank(), world.size() - 1 - world.rank());
+    const int n = rev.size();
+    const int right = (rev.rank() + 1) % n;
+    const int left = (rev.rank() + n - 1) % n;
+    for (int tag = 1; tag <= 3; ++tag) rev.send_value(rev.rank(), right, tag);
+
+    int v = -1;
+    const mpi::Status st = rev.recv(&v, sizeof(v), mpi::ANY_SOURCE, 1);
+    EXPECT_EQ(st.source, left);
+    EXPECT_EQ(v, left);
+
+    int w = -1;
+    mpi::Request reqs[1] = {rev.irecv(&w, sizeof(w), mpi::ANY_SOURCE, 2)};
+    mpi::Status wst;
+    EXPECT_EQ(rev.waitany(reqs, &wst), 0);
+    EXPECT_EQ(wst.source, left);
+    EXPECT_EQ(w, left);
+
+    std::optional<mpi::Status> pst;
+    while (!(pst = rev.iprobe(mpi::ANY_SOURCE, 3))) {
+    }
+    EXPECT_EQ(pst->source, left);
+    int x = -1;
+    rev.recv(&x, sizeof(x), pst->source, 3);
+    EXPECT_EQ(x, left);
+  });
+}
+
 TEST(CommSplit, CollectivesScopeToTheSubgroup) {
   mpi::Cluster cluster(cfg6());
   cluster.run([](mpi::Comm& world) {

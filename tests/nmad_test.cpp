@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <any>
 #include <cstring>
+#include <deque>
+#include <map>
 #include <numeric>
+#include <set>
 
 #include "net/router.hpp"
 #include "nmad/core.hpp"
@@ -734,6 +737,115 @@ TEST_F(ThreeCoreFixture, ProbeFiltersBySourceAndWildcardTakesOldest) {
   auto next = b->probe(std::nullopt, TagSelector::any());
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->src, 0);
+}
+
+// One receiving core with well over a thousand (peer, tag) channels: enough
+// to grow the matching index many times, partly from inside upcalls that run
+// while the core holds a Channel& (ingest_ordered -> deliver_eager ->
+// on_unexpected / on_complete post receives on channels that do not exist
+// yet). Every message must match its channel in send order and exactly
+// once, and probe must name the oldest arrival whatever order the channels
+// were created in. Under ASan a Channel& left dangling by growth fails here.
+TEST_F(ThreeCoreFixture, ThousandsOfChannelsKeepMatchingOrderAcrossIndexGrowth) {
+  make_cores();
+  struct Msg {
+    std::uint32_t peer = 0;
+    std::uint32_t k = 0;
+    Tag tag = 0;
+  };
+  constexpr Tag kTags = 600;             // x 2 peers: 1200 channels on b before the hooks
+  constexpr Tag kOnUnexpected = 100000;  // channels the on_unexpected hook creates
+  constexpr Tag kOnComplete = 200000;    // channels the on_complete hook creates
+  const int senders[2] = {0, 2};
+  Core* const cores[3] = {a.get(), b.get(), c.get()};
+
+  std::deque<Msg> rbufs;  // stable receive buffers
+  std::vector<Request*> recvs;
+  auto post = [&](int src, Tag tag) {
+    rbufs.emplace_back();
+    recvs.push_back(b->irecv(src, tag, &rbufs.back(), sizeof(Msg)));
+  };
+  std::set<std::pair<int, Tag>> hooked;  // channels created from an upcall
+  std::vector<ProbeInfo> arrivals;       // unexpected arrivals, oldest first
+  std::map<std::pair<int, Tag>, std::vector<std::uint32_t>> delivered;  // k, in order
+  b->set_on_unexpected([&](const ProbeInfo& info) {
+    arrivals.push_back(info);
+    if (hooked.insert({info.src, kOnUnexpected + info.tag}).second) {
+      post(info.src, kOnUnexpected + info.tag);
+    }
+  });
+  b->set_on_complete([&](Request& r) {
+    if (r.kind != Request::Kind::Recv) return;
+    Msg m;
+    ASSERT_EQ(r.received, sizeof m);
+    std::memcpy(&m, r.rbuf, sizeof m);
+    EXPECT_EQ(static_cast<int>(m.peer), r.peer);
+    EXPECT_EQ(m.tag, r.tag);
+    delivered[{r.peer, r.tag}].push_back(m.k);
+    if (r.tag < kTags && r.tag % 3 == 0 && hooked.insert({r.peer, kOnComplete + r.tag}).second) {
+      post(r.peer, kOnComplete + r.tag);
+    }
+  });
+  auto send = [&](int src, Tag tag, std::uint32_t k) {
+    const Msg m{static_cast<std::uint32_t>(src), k, tag};
+    cores[src]->isend(1, tag, &m, sizeof m);  // eager: snapshotted at isend
+  };
+
+  // One receive pre-posted on every third tag, highest tag first, so channel
+  // creation order runs against arrival order.
+  for (Tag t = kTags; t-- > 0;) {
+    if (t % 3 == 0) {
+      for (int s : senders) post(s, t);
+    }
+  }
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    for (Tag t = 0; t < kTags; ++t) {
+      for (int s : senders) send(s, t, k);
+    }
+  }
+  eng.run();
+  // Unexpected: the second message on pre-posted tags, both elsewhere.
+  ASSERT_EQ(arrivals.size(), 2 * (kTags / 3 + 2 * (kTags - kTags / 3)));
+  ASSERT_EQ(b->unexpected_count(), arrivals.size());
+
+  // Drain the unexpected queues oldest first: at every step probe names the
+  // oldest remaining arrival, overall and per source.
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const ProbeInfo& want = arrivals[i];
+    const std::optional<ProbeInfo> got = b->probe(std::nullopt, TagSelector::any());
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->src, want.src) << "step " << i;
+    ASSERT_EQ(got->tag, want.tag) << "step " << i;
+    EXPECT_EQ(got->len, sizeof(Msg));
+    if (i % 97 == 0) {
+      const int other = want.src == 0 ? 2 : 0;
+      const auto it = std::find_if(arrivals.begin() + static_cast<std::ptrdiff_t>(i),
+                                   arrivals.end(),
+                                   [&](const ProbeInfo& p) { return p.src == other; });
+      const std::optional<ProbeInfo> from_other = b->probe(other, TagSelector::any());
+      ASSERT_EQ(from_other.has_value(), it != arrivals.end());
+      if (from_other) {
+        EXPECT_EQ(from_other->tag, it->tag);
+      }
+      EXPECT_EQ(b->probe(std::nullopt, TagSelector::exact(want.tag))->src, want.src);
+    }
+    post(want.src, want.tag);  // consumes it synchronously
+  }
+  EXPECT_EQ(b->unexpected_count(), 0u);
+  EXPECT_FALSE(b->probe(std::nullopt, TagSelector::any()).has_value());
+
+  // Feed every channel the upcalls created.
+  ASSERT_EQ(hooked.size(), 2 * (kTags + kTags / 3));  // 1600 more channels on b
+  for (const auto& [src, tag] : hooked) send(src, tag, 0);
+  eng.run();
+
+  for (Request* r : recvs) EXPECT_TRUE(r->completed);
+  EXPECT_EQ(delivered.size(), 2 * kTags + hooked.size());
+  for (const auto& [key, ks] : delivered) {
+    const std::vector<std::uint32_t> want =
+        key.second < kTags ? std::vector<std::uint32_t>{0, 1} : std::vector<std::uint32_t>{0};
+    EXPECT_EQ(ks, want) << "peer " << key.first << " tag " << key.second;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -20,8 +24,18 @@ namespace {
 // Payload bytes for entries whose contents a test never reads.
 const std::vector<std::byte> kFill(64_KiB);
 
-class StrategyProperty
-    : public ::testing::TestWithParam<std::tuple<nmad::StrategyKind, std::uint64_t>> {};
+using StrategySeed = std::tuple<nmad::StrategyKind, std::uint64_t>;
+
+std::string param_name(const ::testing::TestParamInfo<StrategySeed>& info) {
+  const char* k = std::get<0>(info.param) == nmad::StrategyKind::Default  ? "default"
+                  : std::get<0>(info.param) == nmad::StrategyKind::Aggreg ? "aggreg"
+                  : std::get<0>(info.param) == nmad::StrategyKind::SplitBalance
+                      ? "split"
+                      : "costmodel";
+  return std::string(k) + "_s" + std::to_string(std::get<1>(info.param));
+}
+
+class StrategyProperty : public ::testing::TestWithParam<StrategySeed> {};
 
 TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
   const auto [kind, seed] = GetParam();
@@ -212,14 +226,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          nmad::StrategyKind::SplitBalance,
                                          nmad::StrategyKind::CostModel),
                        ::testing::Values(1, 7, 42, 12345)),
-    [](const auto& info) {
-      const char* k = std::get<0>(info.param) == nmad::StrategyKind::Default  ? "default"
-                      : std::get<0>(info.param) == nmad::StrategyKind::Aggreg ? "aggreg"
-                      : std::get<0>(info.param) == nmad::StrategyKind::SplitBalance
-                          ? "split"
-                          : "costmodel";
-      return std::string(k) + "_s" + std::to_string(std::get<1>(info.param));
-    });
+    param_name);
 
 // The cost model predicts *egress* completion (when the sending NIC releases
 // the buffer), so its alpha must be the egress-fitted alpha_tx, not the
@@ -497,6 +504,263 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
     EXPECT_FALSE(strat->pending());
   }
 }
+
+
+// ---------------------------------------------------------------------------
+// Round-robin destination order, pinned against a reference model of the
+// original scan: an ordered (rail, dst) -> FIFO map walked from the rail's
+// cursor to its end, then from its start up to the cursor. Every strategy
+// must emit the same packets in the same order as that scan, whatever the
+// history of which destinations were active when.
+// ---------------------------------------------------------------------------
+
+class RefScan {
+ public:
+  struct Item {
+    std::uint64_t id;  ///< carried in Entry::span
+    bool chunk;
+    std::uint64_t rdv_id;
+    std::size_t len;   ///< payload bytes
+    std::size_t wire;  ///< wire bytes (backlog accounting)
+  };
+  struct Packet {
+    int dst;
+    std::vector<std::uint64_t> ids;
+  };
+
+  RefScan(std::size_t nrails, bool aggregate, std::size_t max_aggregate)
+      : live(nrails, true), aggregate_(aggregate), max_aggregate_(max_aggregate) {}
+
+  void enqueue(int rail, int dst, const Item& it) {
+    auto& q = queues_[{rail, dst}];
+    if (q.empty()) {
+      if (dst < cursor_[rail]) ++activated_behind;
+      else ++activated_ahead;
+      if (drained_.count({rail, dst})) ++reactivated;
+    }
+    q.push_back(it);
+  }
+
+  std::optional<Packet> next(int rail) {
+    if (!live[static_cast<std::size_t>(rail)]) return std::nullopt;
+    int& cur = cursor_[rail];
+    auto pick = queues_.end();
+    for (auto it = queues_.lower_bound({rail, cur}); it != queues_.end() && it->first.first == rail;
+         ++it) {
+      if (!it->second.empty()) {
+        pick = it;
+        break;
+      }
+    }
+    if (pick == queues_.end()) {
+      for (auto it = queues_.lower_bound({rail, 0});
+           it != queues_.end() && it->first.first == rail && it->first.second < cur; ++it) {
+        if (!it->second.empty()) {
+          pick = it;
+          break;
+        }
+      }
+    }
+    if (pick == queues_.end()) return std::nullopt;
+    std::deque<Item>& q = pick->second;
+    Packet p{pick->first.second, {}};
+    if (q.front().chunk) {
+      p.ids.push_back(q.front().id);
+      q.pop_front();
+    } else {
+      std::size_t packed = 0;
+      do {
+        packed += q.front().len;
+        p.ids.push_back(q.front().id);
+        q.pop_front();
+      } while (aggregate_ && !q.empty() && !q.front().chunk &&
+               packed + q.front().len <= max_aggregate_);
+    }
+    if (q.empty()) drained_.insert(pick->first);
+    cur = p.dst + 1;
+    return p;
+  }
+
+  std::size_t cancel(int dst, std::uint64_t rdv_id) {
+    std::size_t dropped = 0;
+    for (auto& [key, q] : queues_) {
+      if (key.second != dst || q.empty()) continue;
+      for (auto it = q.begin(); it != q.end();) {
+        if (it->chunk && it->rdv_id == rdv_id) {
+          dropped += it->len;
+          it = q.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      if (q.empty()) {
+        ++cancel_emptied;
+        drained_.insert(key);
+      }
+    }
+    return dropped;
+  }
+
+  std::vector<std::uint64_t> rail_down(int rail) {
+    live[static_cast<std::size_t>(rail)] = false;
+    std::vector<std::uint64_t> ids;
+    for (auto& [key, q] : queues_) {
+      if (key.first != rail) continue;
+      for (const Item& it : q) ids.push_back(it.id);
+      q.clear();
+    }
+    return ids;
+  }
+
+  std::size_t pending() const {
+    std::size_t n = 0;
+    for (const auto& [key, q] : queues_) n += q.size();
+    return n;
+  }
+  std::size_t backlog(int rail) const {
+    std::size_t b = 0;
+    for (const auto& [key, q] : queues_) {
+      if (key.first != rail) continue;
+      for (const Item& it : q) b += it.wire;
+    }
+    return b;
+  }
+  int lowest_live() const {
+    for (std::size_t r = 0; r < live.size(); ++r) {
+      if (live[r]) return static_cast<int>(r);
+    }
+    return -1;
+  }
+
+  std::vector<bool> live;
+  std::size_t activated_behind = 0, activated_ahead = 0, reactivated = 0, cancel_emptied = 0;
+
+ private:
+  bool aggregate_;
+  std::size_t max_aggregate_;
+  std::map<std::pair<int, int>, std::deque<Item>> queues_;
+  std::map<int, int> cursor_;
+  std::set<std::pair<int, int>> drained_;
+};
+
+class RoundRobinOrder : public ::testing::TestWithParam<StrategySeed> {};
+
+TEST_P(RoundRobinOrder, MatchesTheOrderedScanAcrossActivationHistory) {
+  const auto [kind, seed] = GetParam();
+  sim::Xoshiro256 rng(seed);
+  constexpr int kDsts = 40;
+
+  // Rail r has alpha (1 + r) us, so the sampled-fastest live rail — where
+  // load-blind strategies queue eager entries — is the lowest live index.
+  const std::size_t nrails = 1 + rng.below(3);
+  std::vector<nmad::RailPerf> perfs(nrails);
+  for (std::size_t r = 0; r < nrails; ++r) {
+    perfs[r].fabric_rail = static_cast<int>(r);
+    perfs[r].alpha = 1e-6 * static_cast<double>(1 + r);
+    perfs[r].beta = 1e9 / static_cast<double>(1 + r);
+  }
+  nmad::Sampling sampling(perfs);
+  nmad::StrategyOptions opts;
+  opts.max_aggregate = 1024;
+  auto strat = nmad::make_strategy(kind, sampling, opts);
+  // CostModel picks an eager entry's rail from live load, which this model
+  // does not replay, so it gets rail-planned rendezvous chunks only — the
+  // same round-robin queues the other strategies use.
+  const bool eager_ok = kind != nmad::StrategyKind::CostModel;
+  RefScan ref(nrails, kind != nmad::StrategyKind::Default, opts.max_aggregate);
+
+  std::uint64_t next_id = 1;
+  auto enqueue = [&] {
+    const int dst = static_cast<int>(rng.below(kDsts));
+    const bool chunk = !eager_ok || rng.below(2) == 0;
+    nmad::Entry e;
+    e.dst_proc = dst;
+    e.span = next_id++;
+    const std::size_t len = 1 + rng.below(600);
+    if (chunk) {
+      std::vector<int> live_rails;
+      for (std::size_t r = 0; r < nrails; ++r) {
+        if (ref.live[r]) live_rails.push_back(static_cast<int>(r));
+      }
+      e.kind = nmad::Entry::Kind::RdvChunk;
+      e.rail = live_rails[rng.below(live_rails.size())];
+      e.rdv_id = 1 + rng.below(3);
+      e.bytes = nmad::Payload::view_of(kFill.data(), len);
+    } else {
+      e.kind = nmad::Entry::Kind::Eager;
+      e.rail = ref.lowest_live();
+      e.bytes = nmad::Payload::copy_of(kFill.data(), len);
+    }
+    ref.enqueue(e.rail, dst, RefScan::Item{e.span, chunk, e.rdv_id, len, e.wire_bytes()});
+    strat->enqueue(std::move(e));
+  };
+  auto compare_next = [&](int rail) {
+    const std::optional<RefScan::Packet> want = ref.next(rail);
+    const std::optional<nmad::WireMsg> got = strat->next(rail, /*src=*/0);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "rail " << rail;
+    if (!want) return;
+    EXPECT_EQ(got->dst_proc, want->dst) << "rail " << rail;
+    std::vector<std::uint64_t> ids;
+    for (const nmad::Entry& e : got->entries) ids.push_back(e.span);
+    EXPECT_EQ(ids, want->ids) << "rail " << rail << " dst " << want->dst;
+  };
+  auto compare_accounting = [&] {
+    EXPECT_EQ(strat->pending(), ref.pending() > 0);
+    for (std::size_t r = 0; r < nrails; ++r) {
+      EXPECT_EQ(strat->backlog_bytes(static_cast<int>(r)), ref.backlog(static_cast<int>(r)));
+    }
+  };
+
+  constexpr int kSteps = 3000;
+  for (int step = 0; step < kSteps; ++step) {
+    if (nrails > 1 && step == kSteps / 2) {
+      // Fail one rail mid-run: its queues come back ascending by dst, FIFO
+      // within a destination, and it never emits again.
+      const int dead = static_cast<int>(rng.below(nrails));
+      const std::vector<std::uint64_t> want = ref.rail_down(dead);
+      std::vector<std::uint64_t> got;
+      for (const nmad::Entry& e : strat->on_rail_down(dead)) got.push_back(e.span);
+      EXPECT_EQ(got, want) << "displaced-entry order";
+      compare_accounting();
+      continue;
+    }
+    const std::uint64_t op = rng.below(20);
+    if (op < 9) {
+      enqueue();
+    } else if (op < 18) {
+      compare_next(static_cast<int>(rng.below(nrails)));
+    } else {
+      const int dst = static_cast<int>(rng.below(kDsts));
+      const std::uint64_t rdv_id = 1 + rng.below(3);
+      EXPECT_EQ(strat->cancel_rdv(dst, rdv_id), ref.cancel(dst, rdv_id));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    compare_accounting();
+  }
+  // Drain in rail sweeps (everything left is on a live rail; a dead rail
+  // stays silent).
+  while (ref.pending() > 0) {
+    for (std::size_t r = 0; r < nrails; ++r) {
+      compare_next(static_cast<int>(r));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  compare_accounting();
+
+  // The random walk really exercised each activation pattern.
+  EXPECT_GT(ref.activated_behind, 0u) << "no destination became active behind the cursor";
+  EXPECT_GT(ref.activated_ahead, 0u) << "no destination became active ahead of the cursor";
+  EXPECT_GT(ref.reactivated, 0u) << "no drained destination became active again";
+  EXPECT_GT(ref.cancel_emptied, 0u) << "no cancel_rdv emptied a queue";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Props, RoundRobinOrder,
+    ::testing::Combine(::testing::Values(nmad::StrategyKind::Default, nmad::StrategyKind::Aggreg,
+                                         nmad::StrategyKind::SplitBalance,
+                                         nmad::StrategyKind::CostModel),
+                       ::testing::Values(3, 11, 2024)),
+    param_name);
 
 }  // namespace
 }  // namespace nmx

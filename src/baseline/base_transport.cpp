@@ -272,8 +272,7 @@ void BaseTransport::leave_progress() {
 // ---------------------------------------------------------------------------
 
 void BaseTransport::send_self(BaseRequest* req, const void* buf, std::size_t len) {
-  std::vector<std::byte> payload(len);
-  if (len > 0) std::memcpy(payload.data(), buf, len);
+  std::vector<std::byte> payload = nemesis::snapshot(buf, len);
   const int tag = req->tag;
   const int ctx = req->context;
   eng_->schedule_in_checked(kSelfLatency, [this, tag, ctx, payload = std::move(payload)]() mutable {
@@ -291,17 +290,9 @@ void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len)
   nemesis::Message m;
   m.src_local = local_index_;
   m.header = hdr;
-  m.payload.resize(len);
-  if (len > 0) std::memcpy(m.payload.data(), buf, len);
-  // dst local index
-  const net::Topology& topo = fabric_->topology();
-  const int node = topo.node_of(req->peer);
-  int local = 0;
-  for (int p = 0; p < req->peer; ++p) {
-    if (topo.node_of(p) == node) ++local;
-  }
-  shm_->send(local, std::move(m));
-  complete_send(req);  // copied into cells
+  m.payload = nemesis::snapshot(buf, len);
+  shm_->send(fabric_->topology().local_index(req->peer), std::move(m));
+  complete_send(req);  // snapshot taken — buffer reusable
 }
 
 void BaseTransport::handle_shm(nemesis::Message&& m) {

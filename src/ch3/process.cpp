@@ -100,16 +100,6 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& r
 
 Ch3Process::~Ch3Process() = default;
 
-int Ch3Process::local_of(int rank) const {
-  const net::Topology& topo = fabric_.topology();
-  const int node = topo.node_of(rank);
-  int local = 0;
-  for (int p = 0; p < rank; ++p) {
-    if (topo.node_of(p) == node) ++local;
-  }
-  return local;
-}
-
 // ---------------------------------------------------------------------------
 // pools and nmad plumbing
 // ---------------------------------------------------------------------------
@@ -438,8 +428,7 @@ void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
   msg.context = req->context;
   msg.len = len;
   msg.span = req->span;
-  msg.payload.resize(len);
-  if (len > 0) std::memcpy(msg.payload.data(), buf, len);
+  msg.payload = nemesis::snapshot(buf, len);
   eng_.schedule_in_checked(kSelfLatency, [this, msg = std::move(msg)]() mutable {
     deliver_local(std::move(msg));
   });
@@ -459,20 +448,16 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
     nemesis::Message m;
     m.src_local = local_index_;
     m.header = hdr;
-    m.payload.resize(len);
-    if (len > 0) std::memcpy(m.payload.data(), buf, len);
+    m.payload = nemesis::snapshot(buf, len);
     shm_->send(local_of(req->peer), std::move(m));
-    complete_send(req);  // copied into cells — buffer reusable
+    complete_send(req);  // snapshot taken — buffer reusable
   } else {
-    // CH3 shared-memory rendezvous (the left half of Figure 2).
+    // CH3 shared-memory rendezvous (the left half of Figure 2). The send
+    // buffer stays the application's until CTS, where the one snapshot of
+    // the payload is taken.
     hdr.kind = ShmHdr::Kind::Rts;
     hdr.rdv_id = next_shm_rdv_++;
-    ShmRdvOut out;
-    out.req = req;
-    out.dst = req->peer;
-    out.payload.resize(len);
-    std::memcpy(out.payload.data(), buf, len);
-    shm_rdv_out_.emplace(hdr.rdv_id, std::move(out));
+    shm_rdv_out_.emplace(hdr.rdv_id, ShmRdvOut{req, buf});
     nemesis::Message m;
     m.src_local = local_index_;
     m.header = hdr;
@@ -543,14 +528,14 @@ void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*s
       data.tag = out.req->tag;
       data.context = out.req->context;
       data.rdv_id = hdr.rdv_id;
-      data.len = out.payload.size();
+      data.len = out.req->len;
       data.span = out.req->span;
       nemesis::Message m;
       m.src_local = local_index_;
       m.header = data;
-      m.payload = std::move(out.payload);
-      shm_->send(local_of(out.dst), std::move(m));
-      complete_send(out.req);
+      m.payload = nemesis::snapshot(out.buf, out.req->len);
+      shm_->send(local_of(out.req->peer), std::move(m));
+      complete_send(out.req);  // snapshot taken — buffer reusable
       break;
     }
     case ShmHdr::Kind::Data: {

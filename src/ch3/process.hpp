@@ -103,10 +103,11 @@ class Ch3Process final : public mpi::Transport {
     std::vector<std::byte> payload;
   };
 
+  /// Shared-memory rendezvous sent, awaiting CTS. `buf` (req->len bytes)
+  /// is the application's send buffer, valid until complete_send.
   struct ShmRdvOut {
     MpidRequest* req;
-    std::vector<std::byte> payload;
-    int dst;
+    const void* buf;
   };
 
   /// Completion context attached to every NewMadeleine request we create.
@@ -161,7 +162,7 @@ class Ch3Process final : public mpi::Transport {
   void finish(MpidRequest* req);  // complete_and_wake with any-source penalty
 
   bool in_progress() const { return depth_ > 0; }
-  int local_of(int rank) const;
+  int local_of(int rank) const { return fabric_.topology().local_index(rank); }
 
   sim::Engine& eng_;
   net::Fabric& fabric_;

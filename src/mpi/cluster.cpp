@@ -50,10 +50,9 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     routers_.push_back(std::make_unique<net::ProcRouter>(*fabric_, n));
   }
 
-  std::vector<int> next_local(static_cast<std::size_t>(t.num_nodes), 0);
   for (int p = 0; p < t.num_procs(); ++p) {
     const int node = t.node_of(p);
-    const int local = next_local[static_cast<std::size_t>(node)]++;
+    const int local = t.local_index(p);
     nemesis::ShmNode* shm = shm_nodes_[static_cast<std::size_t>(node)].get();
     net::ProcRouter& router = *routers_[static_cast<std::size_t>(node)];
 

@@ -1,7 +1,6 @@
 #include "nemesis/shm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -44,7 +43,8 @@ void ShmNode::send(int dst_local, Message msg) {
   NMX_ASSERT(dst_local >= 0 && dst_local < num_local_);
   NMX_ASSERT_MSG(msg.src_local != dst_local, "self-sends are short-circuited above Nemesis");
   const int src = msg.src_local;
-  procs_[src].sends.push_back(PendingSend{dst_local, std::move(msg), 0, false});
+  const std::size_t total = msg.payload.size();
+  procs_[src].sends.push_back(PendingSend{dst_local, std::move(msg), total});
   pump(src);
 }
 
@@ -52,24 +52,21 @@ void ShmNode::pump(int src_local) {
   ProcState& ps = procs_[static_cast<std::size_t>(src_local)];
   while (!ps.sends.empty()) {
     PendingSend& s = ps.sends.front();
-    const std::size_t total = s.msg.payload.size();
     // Inject fragments while cells are available. A zero-byte message still
     // takes one (header-only) cell.
-    while (!s.started || s.offset < total) {
+    while (!s.started || s.offset < s.total) {
       const CellIndex ci = ps.free_queue.dequeue(pool_);
       if (ci == kNilCell) {
         ps.waiting_for_cell = true;  // resume when the receiver returns cells
         return;
       }
       Cell& cell = cells_[static_cast<std::size_t>(ci)];
-      const std::size_t frag = std::min(cfg_.cell_payload, total - s.offset);
+      const std::size_t frag = std::min(cfg_.cell_payload, s.total - s.offset);
       cell.src_local = src_local;
       cell.dst_local = s.dst_local;
       cell.first = !s.started;
-      cell.total_bytes = total;
-      if (cell.first) cell.header = std::move(s.msg.header);
-      cell.data.assign(s.msg.payload.begin() + static_cast<std::ptrdiff_t>(s.offset),
-                       s.msg.payload.begin() + static_cast<std::ptrdiff_t>(s.offset + frag));
+      cell.frag = frag;
+      if (cell.first) cell.msg = std::move(s.msg);
       s.offset += frag;
       s.started = true;
 
@@ -112,20 +109,15 @@ bool ShmNode::poll(int local_proc) {
     if (cell.first) {
       NMX_ASSERT_MSG(!part.active, "new message started before previous completed");
       part.active = true;
-      part.header = std::move(cell.header);
-      part.expected = cell.total_bytes;
-      part.payload.clear();
-      part.payload.reserve(part.expected);
+      part.msg = std::exchange(cell.msg, Message{});
+      part.received = 0;
     }
     NMX_ASSERT_MSG(part.active, "fragment without a first-fragment header");
-    part.payload.insert(part.payload.end(), cell.data.begin(), cell.data.end());
-    const int src = cell.src_local;
+    part.received += cell.frag;
     const int owner = cell.owner;
 
     // Return the cell before delivering: delivery code may trigger sends
     // that need it.
-    cell.data.clear();
-    cell.header.reset();
     --cells_in_flight_;
     procs_[static_cast<std::size_t>(owner)].free_queue.enqueue(pool_, ci);
     if (procs_[static_cast<std::size_t>(owner)].waiting_for_cell) {
@@ -133,15 +125,10 @@ bool ShmNode::poll(int local_proc) {
       pump(owner);
     }
 
-    if (part.active && part.payload.size() == part.expected) {
-      Message m;
-      m.src_local = src;
-      m.header = std::move(part.header);
-      m.payload = std::move(part.payload);
+    if (part.received == part.msg.payload.size()) {
       part.active = false;
-      part.payload.clear();
       NMX_ASSERT_MSG(pd.deliver != nullptr, "no deliver callback registered");
-      pd.deliver(std::move(m));
+      pd.deliver(std::exchange(part.msg, Message{}));
     }
   }
   return any;

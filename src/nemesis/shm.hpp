@@ -3,9 +3,15 @@
 // enqueue. Large messages are fragmented into cells; the receiver polls its
 // single receive queue (which is what makes MPI_ANY_SOURCE cheap here).
 //
+// Cells do not hold bytes: the message (header + payload) moves with its
+// first cell, and every cell carries only its fragment length. The host
+// copies a shared-memory byte twice — the sender's snapshot and the
+// receiver's landing copy — while the model charges the cell copies.
+//
 // Timing model: copying into a cell occupies the sender CPU (serialized via a
 // Channel), each cell then becomes visible to the receiver after
-// calib::kShmLatency plus the copy-out cost. Flow control is real: a sender
+// calib::kShmLatency plus the copy-out cost, both charged by the cell's
+// fragment length (+ header on the first cell). Flow control is real: a sender
 // with an empty free queue stalls until the receiver polls and returns cells
 // — which is why a non-progressing receiver (computing, no PIOMan) stalls
 // large shared-memory transfers, exactly the effect PIOMan exists to fix.
@@ -26,13 +32,21 @@
 namespace nmx::nemesis {
 
 /// One logical message handed to / delivered by the channel. `header` is an
-/// opaque upper-layer struct (CH3 packet header); `payload` is copied for
-/// real through the cells.
+/// opaque upper-layer struct (CH3 packet header). The channel owns the
+/// message from send() to delivery: header and payload travel with the
+/// first cell and are handed to the receiver once every fragment has landed.
 struct Message {
   int src_local = -1;  ///< sender's node-local process index
   std::any header;
   std::vector<std::byte> payload;
 };
+
+/// Copy of the `len` bytes at `buf` for a payload: one allocation filled by
+/// one copy, no zero-fill first.
+inline std::vector<std::byte> snapshot(const void* buf, std::size_t len) {
+  const auto* bytes = static_cast<const std::byte*>(buf);
+  return std::vector<std::byte>(bytes, bytes + len);
+}
 
 struct ShmConfig {
   std::size_t cells_per_proc = 64;
@@ -45,8 +59,8 @@ struct ShmConfig {
 /// The shared-memory region and queue state of one node.
 class ShmNode {
  public:
-  /// Called when a full message for `dst_local` has been reassembled by
-  /// poll(). Runs on the engine thread at poll time.
+  /// Called when every cell of a message for `dst_local` has been drained
+  /// by poll(). Runs on the engine thread at poll time.
   using DeliverFn = std::function<void(Message&&)>;
   /// Called (engine thread) whenever a cell lands in a process's receive
   /// queue — the hook the progress layer / PIOMan mailbox watches.
@@ -62,9 +76,10 @@ class ShmNode {
   /// Asynchronously send `msg` to `dst_local`. Per-sender FIFO ordering.
   void send(int dst_local, Message msg);
 
-  /// Drain `local_proc`'s receive queue: dequeue arrived cells, reassemble,
-  /// deliver completed messages, return cells to their owners' free queues.
-  /// Returns true if any cell was processed. Called from progress engines.
+  /// Drain `local_proc`'s receive queue: dequeue arrived cells, count their
+  /// fragments, deliver completed messages, return cells to their owners'
+  /// free queues. Returns true if any cell was processed. Called from
+  /// progress engines.
   bool poll(int local_proc);
 
   /// PIOMan mailbox counter (§3.3.2): incremented when a cell is enqueued,
@@ -79,15 +94,17 @@ class ShmNode {
     int owner = -1;      ///< process whose free queue this cell belongs to
     int src_local = -1;  ///< filled at send time
     int dst_local = -1;
-    bool first = false;           ///< first fragment: carries the header
-    std::size_t total_bytes = 0;  ///< payload size of the whole message
-    std::any header;              ///< only on first fragment
-    std::vector<std::byte> data;  ///< this fragment's payload slice
+    bool first = false;    ///< first fragment: carries the message
+    std::size_t frag = 0;  ///< payload bytes this cell stands for
+    Message msg;           ///< whole message on the first fragment, else empty
   };
 
   struct PendingSend {
     int dst_local;
-    Message msg;
+    Message msg;  ///< moved into the first cell once that cell is taken
+    /// Payload size, kept here: after the first cell leaves, `msg` is empty
+    /// and a sender stalled on its free queue resumes from these counters.
+    std::size_t total;
     std::size_t offset = 0;
     bool started = false;
   };
@@ -102,12 +119,12 @@ class ShmNode {
     DeliverFn deliver;
     ActivityFn activity;
     std::uint64_t mailbox = 0;
-    // Reassembly of the in-flight message from each local sender.
+    // The in-flight message from each local sender: taken from its first
+    // cell, delivered once the fragment lengths add up to its payload size.
     struct Partial {
       bool active = false;
-      std::any header;
-      std::vector<std::byte> payload;
-      std::size_t expected = 0;
+      Message msg;
+      std::size_t received = 0;
     };
     std::vector<Partial> partial;  ///< indexed by src_local
   };

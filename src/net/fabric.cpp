@@ -32,6 +32,7 @@ Fabric::Fabric(sim::Engine& eng, Topology topo) : eng_(eng), topo_(std::move(top
   NMX_ASSERT(topo_.num_nodes > 0);
   NMX_ASSERT(topo_.num_rails() > 0);
   nics_.resize(static_cast<std::size_t>(topo_.num_nodes) * topo_.num_rails());
+  for (int r = 0; r < topo_.num_rails(); ++r) rail_labels_.push_back("rail=" + std::to_string(r));
 }
 
 const NicProfile& Fabric::profile(int rail) const {
@@ -84,7 +85,7 @@ Time Fabric::transmit(WirePacket pkt) {
 
   ++packets_sent_;
   if (obs::Recorder* rec = eng_.recorder()) {
-    const std::string rail_label = "rail=" + std::to_string(pkt.rail);
+    const std::string& rail_label = rail_labels_[static_cast<std::size_t>(pkt.rail)];
     rec->metrics().counter("net.rail.tx_packets", rail_label).add(1);
     rec->metrics().counter("net.rail.tx_bytes", rail_label).add(pkt.bytes);
     if (on_dead_rail) rec->metrics().counter("net.fault.tx_on_dead_rail", rail_label).add(1);

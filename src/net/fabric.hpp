@@ -7,6 +7,7 @@
 #include <any>
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -123,6 +124,7 @@ class Fabric {
   sim::Engine& eng_;
   Topology topo_;
   std::vector<Nic> nics_;  // node-major [node * num_rails + rail]
+  std::vector<std::string> rail_labels_;  ///< "rail=<r>" metric label per rail
   std::size_t packets_sent_ = 0;
   sim::FaultPlan* fault_plan_ = nullptr;
 };

@@ -34,6 +34,7 @@ NicProfile mx_profile();
 struct Topology {
   int num_nodes = 0;
   std::vector<int> proc_node;       ///< proc rank -> node index
+  std::vector<int> proc_local;      ///< proc rank -> index among its node's procs
   std::vector<NicProfile> rails;    ///< rail index -> NIC model
 
   int num_procs() const { return static_cast<int>(proc_node.size()); }
@@ -43,6 +44,12 @@ struct Topology {
     return proc_node[proc];
   }
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
+  /// Node-local index of `proc` (its Nemesis queue index): the number of
+  /// lower ranks on the same node. Computed once by the layout builders.
+  int local_index(int proc) const {
+    NMX_ASSERT(proc >= 0 && proc < static_cast<int>(proc_local.size()));
+    return proc_local[proc];
+  }
 
   /// `procs` ranks distributed round-robin-block over `nodes` nodes
   /// (ranks 0..k-1 on node 0, etc. — the usual block mapping).
@@ -53,6 +60,7 @@ struct Topology {
     t.rails = std::move(rails_);
     const int per = (procs + nodes - 1) / nodes;
     for (int p = 0; p < procs; ++p) t.proc_node.push_back(p / per);
+    t.number_locals();
     return t;
   }
 
@@ -65,7 +73,15 @@ struct Topology {
     t.num_nodes = nodes;
     t.rails = std::move(rails_);
     for (int p = 0; p < procs; ++p) t.proc_node.push_back(p % nodes);
+    t.number_locals();
     return t;
+  }
+
+ private:
+  void number_locals() {
+    std::vector<int> next(static_cast<std::size_t>(num_nodes), 0);
+    proc_local.clear();
+    for (const int node : proc_node) proc_local.push_back(next[static_cast<std::size_t>(node)]++);
   }
 };
 

@@ -1,12 +1,16 @@
 // CH3 layer tests: the any-source management lists of §3.2.2 / Figure 3
 // (unit level), plus integration scenarios through the full stack — message
 // ordering with MPI_ANY_SOURCE, intra-node matches cancelling the list
-// entry, deferred known-source receives, and the legacy (non-bypass) path.
+// entry, deferred known-source receives, the shared-memory rendezvous
+// snapshot, and the legacy (non-bypass) path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "ch3/anysource.hpp"
+#include "ch3/process.hpp"
 #include "mpi/cluster.hpp"
 
 namespace nmx {
@@ -255,6 +259,45 @@ TEST(AnySourceIntegration, ConstantLatencyPenalty) {
   const double gap_large = one_way(true, 16384) - one_way(false, 16384);
   EXPECT_NEAR(gap_small, 0.3e-6, 0.05e-6);
   EXPECT_NEAR(gap_large, 0.3e-6, 0.05e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Shared-memory CH3 rendezvous
+// ---------------------------------------------------------------------------
+
+TEST(ShmRendezvous, LateReceiverGetsBytesFromBeforeTheSenderReusedItsBuffer) {
+  // The rendezvous snapshot is taken at CTS, just before the send completes:
+  // a sender that overwrites and frees its buffer as soon as wait() returns
+  // must not change what the (late) receiver gets.
+  mpi::Cluster cluster(stack_cfg(1, 2));
+  const std::size_t n = 3 * ch3::Ch3Process::Config{}.shm_rdv_threshold / 2;
+  std::vector<std::byte> original(n);
+  for (std::size_t i = 0; i < n; ++i) original[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      auto buf = std::make_unique<std::vector<std::byte>>(original);
+      mpi::Request r = c.isend(buf->data(), n, 1, 4);
+      c.wait(r);
+      std::fill(buf->begin(), buf->end(), std::byte{0xee});
+      buf.reset();
+      int done = 1;
+      c.send(&done, sizeof(done), 1, 5);
+    } else {
+      c.compute(200e-6);  // post well after the RTS has arrived
+      std::vector<std::byte> in(n);
+      const mpi::Status st = c.recv(in.data(), in.size(), 0, 4);
+      EXPECT_EQ(st.count, n);
+      EXPECT_TRUE(in == original);
+      int done = 0;
+      c.recv(&done, sizeof(done), 0, 5);
+      EXPECT_EQ(done, 1);
+      EXPECT_FALSE(c.iprobe(0, 4).has_value());  // nothing delivered twice
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    auto& p = dynamic_cast<ch3::Ch3Process&>(cluster.transport(r));
+    EXPECT_EQ(p.unexpected_count(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

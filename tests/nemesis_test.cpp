@@ -1,8 +1,10 @@
 // Nemesis channel tests: the lock-free MPSC queue (including a real
 // multi-threaded stress run — the queue is genuine concurrent code), cell
-// fragmentation, ordering, flow control and the PIOMan mailbox counter.
+// fragmentation (cells carry fragment lengths; the message moves with its
+// first cell), ordering, flow control and the PIOMan mailbox counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -168,6 +170,73 @@ TEST(ShmTiming, LatencyMatchesCalibration) {
   eng.run();
   const Time copies = 2.0 * (64.0 + 64.0) / calib::kShmCopyBandwidth;  // hdr+payload, both sides
   EXPECT_NEAR(arrival, calib::kShmLatency + copies, 1e-9);
+}
+
+TEST(ShmCells, InterleavedSendersDeliverIntactInPerSenderOrder) {
+  // Two senders' multi-cell messages interleave in one receive queue; the
+  // receiver drains it only after every cell has landed. Cells carry
+  // fragment lengths only, so this pins that each message's bytes travel
+  // with its first cell and delivery waits for its own fragments alone.
+  sim::Engine eng;
+  ShmNode node(eng, 3);
+  std::vector<Message> delivered;
+  node.set_deliver(2, [&](Message&& m) { delivered.push_back(std::move(m)); });
+  const std::size_t cell = calib::kNemesisCellPayload;
+  // (sender, header tag, payload size): a zero-byte message sits between
+  // each sender's multi-cell messages.
+  struct Spec {
+    int src;
+    int tag;
+    std::size_t n;
+  };
+  const std::vector<Spec> specs = {{0, 10, 3 * cell - 5}, {1, 20, 2 * cell + 7},
+                                   {0, 11, 0},            {1, 21, 0},
+                                   {0, 12, 2 * cell},     {1, 22, 4 * cell + 1}};
+  for (const Spec& sp : specs) {
+    Message m;
+    m.src_local = sp.src;
+    m.header = sp.tag;
+    m.payload = payload_of(sp.n, sp.tag);
+    node.send(2, std::move(m));
+  }
+  eng.run();
+  EXPECT_TRUE(delivered.empty());  // nobody has polled yet
+  EXPECT_TRUE(node.poll(2));
+  ASSERT_EQ(delivered.size(), specs.size());
+  std::vector<std::vector<int>> order(2);
+  for (const Message& m : delivered) {
+    const int tag = std::any_cast<int>(m.header);
+    const auto it = std::find_if(specs.begin(), specs.end(),
+                                 [tag](const Spec& sp) { return sp.tag == tag; });
+    ASSERT_NE(it, specs.end());
+    EXPECT_EQ(m.src_local, it->src);
+    EXPECT_EQ(m.payload, payload_of(it->n, tag));
+    order[static_cast<std::size_t>(m.src_local)].push_back(tag);
+  }
+  EXPECT_EQ(order[0], (std::vector<int>{10, 11, 12}));
+  EXPECT_EQ(order[1], (std::vector<int>{20, 21, 22}));
+  EXPECT_EQ(node.cells_in_flight(), 0u);
+}
+
+TEST(ShmTiming, ThreeCellMessageMatchesClosedForm) {
+  // Three full cells: the sender copies header + three fragments in back to
+  // back, and the last cell lands one latency plus its copy-out later.
+  sim::Engine eng;
+  ShmNode node(eng, 2);
+  Time arrival = -1;
+  node.set_deliver(1, [&](Message&&) { arrival = eng.now(); });
+  node.set_activity_hook(1, [&] { node.poll(1); });
+  const double cell = static_cast<double>(calib::kNemesisCellPayload);
+  const double header = static_cast<double>(ShmConfig{}.header_bytes);
+  Message m;
+  m.src_local = 0;
+  m.payload = payload_of(3 * calib::kNemesisCellPayload, 0);
+  node.send(1, std::move(m));
+  eng.run();
+  const double bw = calib::kShmCopyBandwidth;
+  const Time copy_in = (header + 3.0 * cell) / bw;
+  EXPECT_NEAR(arrival, copy_in + calib::kShmLatency + cell / bw, 1e-12);
+  EXPECT_EQ(node.mailbox(1), 3u);
 }
 
 TEST(ShmTiming, NonPollingReceiverStallsDelivery) {

@@ -7,12 +7,6 @@ namespace nmx::baseline {
 
 namespace {
 constexpr Time kSelfLatency = 0.1_us;
-
-struct BaseShmHdr {
-  int src_rank = -1;
-  int tag = 0;
-  int context = 0;
-};
 }  // namespace
 
 BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra)
@@ -283,20 +277,18 @@ void BaseTransport::send_self(BaseRequest* req, const void* buf, std::size_t len
 
 void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len) {
   NMX_ASSERT_MSG(shm_ != nullptr, "same-node send without a shared-memory region");
-  BaseShmHdr hdr;
-  hdr.src_rank = rank_;
-  hdr.tag = req->tag;
-  hdr.context = req->context;
   nemesis::Message m;
   m.src_local = local_index_;
-  m.header = hdr;
+  m.header.src_rank = rank_;  // kind Eager: the only shared-memory protocol here
+  m.header.tag = req->tag;
+  m.header.context = req->context;
   m.payload = nemesis::snapshot(buf, len);
   shm_->send(fabric_->topology().local_index(req->peer), std::move(m));
   complete_send(req);  // snapshot taken — buffer reusable
 }
 
 void BaseTransport::handle_shm(nemesis::Message&& m) {
-  const BaseShmHdr hdr = std::any_cast<BaseShmHdr>(m.header);
+  const nemesis::ShmHdr& hdr = m.header;
   if (shm_extra_ > 0) {
     eng_->schedule_in_checked(shm_extra_, [this, hdr, payload = std::move(m.payload)]() mutable {
       deliver_eager(hdr.src_rank, hdr.tag, hdr.context, std::move(payload));

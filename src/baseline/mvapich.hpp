@@ -19,14 +19,9 @@ namespace nmx::baseline {
 
 class MvapichTransport final : public BaseTransport {
  public:
-  struct Config {
-    std::size_t eager_threshold = calib::kMvapichEagerThreshold;
-    std::size_t rcache_capacity = 1_GiB;
-    bool use_rcache = true;  ///< ablation switch (bench/abl_rcache)
-  };
-
-  explicit MvapichTransport(Env env);
-  MvapichTransport(Env env, Config cfg);
+  /// `use_rcache` = false is the bench/abl_rcache ablation: register on
+  /// every rendezvous.
+  MvapichTransport(Env env, bool use_rcache);
 
   const rcache::RegistrationCache& rcache() const { return rcache_; }
 
@@ -38,7 +33,7 @@ class MvapichTransport final : public BaseTransport {
  private:
   Time acquire_registration(const void* buf, std::size_t len);
 
-  Config cfg_;
+  bool use_rcache_;
   rcache::RegistrationCache rcache_;
   std::uint64_t next_xid_ = 1;
   std::map<std::uint64_t, std::pair<BaseRequest*, const std::byte*>> rdv_out_;

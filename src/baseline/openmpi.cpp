@@ -5,6 +5,23 @@
 
 namespace nmx::baseline {
 
+namespace {
+constexpr std::size_t kSendProtocolMax = 256_KiB;  // copy protocol up to here
+constexpr std::size_t kMediumFrag = 32_KiB;
+constexpr Time kPipelineStall = 15.0_us;  // descriptor turnaround between frags
+// Registration of fragment i+1 overlaps fragment i's transfer; only a short
+// descriptor-post cost stays on the critical path.
+constexpr Time kPipelinePost = 2.0_us;
+// Compute-time multiplier (see header).
+constexpr double kDilation = 1.09;
+
+std::size_t eager_threshold(OmpiVariant v) {
+  // The MTL path hands messages to MX directly; MX's internal eager
+  // threshold is larger and there is no PML fragment pipeline.
+  return v == OmpiVariant::CmMx ? 32_KiB : calib::kOmpiEagerThreshold;
+}
+}  // namespace
+
 Time OmpiTransport::sw_send_for(OmpiVariant v) {
   switch (v) {
     case OmpiVariant::BtlIb: return calib::kOmpiIbSwSend;
@@ -23,25 +40,18 @@ Time OmpiTransport::sw_recv_for(OmpiVariant v) {
   NMX_FAIL("bad variant");
 }
 
-OmpiTransport::OmpiTransport(Env env) : OmpiTransport(env, Config{}) {}
+OmpiTransport::OmpiTransport(Env env, OmpiVariant variant)
+    : BaseTransport(env, sw_send_for(variant), sw_recv_for(variant), /*shm_extra=*/0.15_us),
+      variant_(variant) {}
 
-OmpiTransport::OmpiTransport(Env env, Config cfg)
-    : BaseTransport(env, sw_send_for(cfg.variant), sw_recv_for(cfg.variant),
-                    /*shm_extra=*/0.15_us),
-      cfg_(cfg) {
-  if (cfg_.variant == OmpiVariant::CmMx) {
-    // The MTL path hands messages to MX directly; MX's internal eager
-    // threshold is larger and there is no PML fragment pipeline.
-    cfg_.eager_threshold = 32_KiB;
-  }
-}
+double OmpiTransport::compute_dilation() const { return kDilation; }
 
 bool OmpiTransport::needs_reg() const {
   return fabric().profile(rail()).needs_registration;
 }
 
 void OmpiTransport::net_send(BaseRequest* req, const void* buf, std::size_t len) {
-  if (len <= cfg_.eager_threshold) {
+  if (len <= eager_threshold(variant_)) {
     BasePkt pkt;
     pkt.kind = BasePkt::Kind::Eager;
     pkt.src = rank();
@@ -81,7 +91,7 @@ void OmpiTransport::send_next_large_frag(std::uint64_t xid) {
   NMX_ASSERT(it != rdv_out_.end());
   OutRdv& o = it->second;
   BaseRequest* req = o.req;
-  const std::size_t frag = std::min(cfg_.large_frag, req->len - o.offset);
+  const std::size_t frag = std::min(calib::kOmpiPipelineFrag, req->len - o.offset);
   BasePkt pkt;
   pkt.kind = BasePkt::Kind::Frag;
   pkt.src = rank();
@@ -96,15 +106,15 @@ void OmpiTransport::send_next_large_frag(std::uint64_t xid) {
   // front; later fragments' registration overlaps the previous transfer
   // (pipelined), leaving only the descriptor post plus a turnaround stall
   // on the critical path — the pipeline never quite saturates the wire.
-  const Time prep = first
-                        ? (needs_reg() ? calib::ib_reg_cost(frag) : 0.0) + cfg_.per_frag_overhead
-                        : cfg_.pipeline_post;
+  const Time prep =
+      first ? (needs_reg() ? calib::ib_reg_cost(frag) : 0.0) + calib::kOmpiPerFragOverhead
+            : kPipelinePost;
   if (last) {
     rdv_out_.erase(it);
     post_tx(req->peer, prep, std::move(pkt), [this, req] { complete_send(req); });
   } else {
     post_tx(req->peer, prep, std::move(pkt), [this, xid] {
-      eng().schedule_in_checked(cfg_.pipeline_stall, [this, xid] { send_next_large_frag(xid); });
+      eng().schedule_in_checked(kPipelineStall, [this, xid] { send_next_large_frag(xid); });
     });
   }
 }
@@ -116,7 +126,7 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
       NMX_ASSERT_MSG(it != rdv_out_.end(), "CTS for unknown rendezvous");
       OutRdv& o = it->second;
       BaseRequest* req = o.req;
-      if (cfg_.variant == OmpiVariant::CmMx) {
+      if (variant_ == OmpiVariant::CmMx) {
         // MTL: single transfer by the MX library.
         BasePkt data;
         data.kind = BasePkt::Kind::Data;
@@ -128,15 +138,15 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
         post_tx(req->peer, 0, std::move(data), [this, req] { complete_send(req); });
         break;
       }
-      if (req->len <= cfg_.send_protocol_max) {
+      if (req->len <= kSendProtocolMax) {
         // Copy-in/copy-out send protocol: a stream of copied fragments,
         // pipelined on the prep CPU vs the NIC.
         const std::byte* buf = o.buf;
         const std::size_t total = req->len;
         const int dst = req->peer;
         rdv_out_.erase(it);
-        for (std::size_t off = 0; off < total; off += cfg_.medium_frag) {
-          const std::size_t frag = std::min(cfg_.medium_frag, total - off);
+        for (std::size_t off = 0; off < total; off += kMediumFrag) {
+          const std::size_t frag = std::min(kMediumFrag, total - off);
           BasePkt f;
           f.kind = BasePkt::Kind::Frag;
           f.src = rank();
@@ -145,7 +155,7 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
           f.offset = off;
           f.bytes.assign(buf + off, buf + off + frag);
           const bool last = off + frag >= total;
-          const Time prep = calib::copy_cost(frag) + cfg_.per_frag_overhead;
+          const Time prep = calib::copy_cost(frag) + calib::kOmpiPerFragOverhead;
           if (last) {
             post_tx(dst, prep, std::move(f), [this, req] { complete_send(req); });
           } else {

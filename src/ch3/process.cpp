@@ -11,12 +11,32 @@ constexpr int kLegacyCtlContext = 0x7ffffff0;
 constexpr int kLegacyDataContext = 0x7ffffff1;
 // Loopback (self) delivery latency: a queue push and pop in one process.
 constexpr Time kSelfLatency = 0.1_us;
+// Intra-node CH3 eager/rendezvous switch (Nemesis LMT).
+constexpr std::size_t kShmRdvThreshold = 64_KiB;
+// Legacy mode: netmod cell payload and the CH3 eager/rendezvous switch of
+// the network path (single-cell eager keeps the cells fixed-size).
+constexpr std::size_t kLegacyCellPayload = 32000;
 
 std::vector<std::byte> serialize_ctl(const ShmHdr& hdr, const void* payload, std::size_t len) {
   std::vector<std::byte> buf(sizeof(ShmHdr) + len);
   std::memcpy(buf.data(), &hdr, sizeof(ShmHdr));
   if (len > 0) std::memcpy(buf.data() + sizeof(ShmHdr), payload, len);
   return buf;
+}
+
+// Inverse of serialize_ctl: take the header off the front of `cell`, which
+// then holds the payload.
+ShmHdr parse_ctl(std::vector<std::byte>& cell) {
+  NMX_ASSERT(cell.size() >= sizeof(ShmHdr));
+  ShmHdr hdr;
+  std::memcpy(&hdr, cell.data(), sizeof(ShmHdr));
+  cell.erase(cell.begin(), cell.begin() + sizeof(ShmHdr));
+  return hdr;
+}
+
+// The nmad tag of a legacy CH3 rendezvous' DATA message.
+nmad::Tag legacy_data_tag(std::uint64_t rdv_id) {
+  return pack_tag(kLegacyDataContext, static_cast<int>(rdv_id & 0x7fffffff));
 }
 }  // namespace
 
@@ -33,8 +53,10 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& r
   core_->set_on_unexpected([this](const nmad::ProbeInfo& info) {
     if (cfg_.bypass) {
       as_probe_all();
-    } else {
-      legacy_on_unexpected(info);
+    } else if (unpack_context(info.tag) == kLegacyCtlContext) {
+      // Data-context messages are never unexpected: the receive is posted
+      // before the CH3 CTS that triggers them.
+      legacy_fetch_ctl(info);
     }
   });
 
@@ -138,6 +160,11 @@ nmad::Request* Ch3Process::nm_irecv(int src, nmad::Tag tag, void* buf, std::size
   return core_->irecv(src, tag, buf, len, new_ctx(std::move(done)), span);
 }
 
+void Ch3Process::release_later(nmad::Request& nr) {
+  // Not from inside the completion upcall: the core still holds `nr` there.
+  eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
+}
+
 // ---------------------------------------------------------------------------
 // completion helpers
 // ---------------------------------------------------------------------------
@@ -206,47 +233,25 @@ void Ch3Process::remove_posted(MpidRequest* req) {
 
 bool Ch3Process::match_unexpected(MpidRequest* req) {
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (it->context != req->context) continue;
-    if (req->peer != mpi::ANY_SOURCE && req->peer != it->src) continue;
-    if (req->tag != mpi::ANY_TAG && req->tag != it->tag) continue;
+    if (it->hdr.context != req->context) continue;
+    if (req->peer != mpi::ANY_SOURCE && req->peer != it->hdr.src_rank) continue;
+    if (req->tag != mpi::ANY_TAG && req->tag != it->hdr.tag) continue;
     UnexMsg msg = std::move(*it);
     unexpected_.erase(it);
     if (obs::Recorder* rec = eng_.recorder()) {
       rec->metrics().gauge("ch3.unexpected.depth").set(static_cast<double>(unexpected_.size()));
     }
-    if (msg.kind == UnexMsg::Kind::Eager) {
-      NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
-      if (!msg.payload.empty()) {
-        std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-      }
-      complete_recv(req, msg.src, msg.tag, msg.payload.size(), msg.span);
-    } else if (msg.origin == UnexMsg::Origin::Shm) {
-      NMX_ASSERT(msg.len <= req->len);
-      shm_rdv_in_.emplace(std::make_pair(msg.src, msg.rdv_id), req);
-      ShmHdr cts;
-      cts.kind = ShmHdr::Kind::Cts;
-      cts.src_rank = rank_;
-      cts.tag = msg.tag;
-      cts.context = msg.context;
-      cts.rdv_id = msg.rdv_id;
-      nemesis::Message m;
-      m.src_local = local_index_;
-      m.header = cts;
-      shm_->send(local_of(msg.src), std::move(m));
-    } else {
-      NMX_ASSERT(msg.origin == UnexMsg::Origin::LegacyNet);
-      legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
-    }
+    satisfy(req, std::move(msg));
     return true;
   }
   return false;
 }
 
 void Ch3Process::deliver_local(UnexMsg msg) {
-  MpidRequest* req = match_posted(msg.src, msg.tag, msg.context);
+  MpidRequest* req = match_posted(msg.hdr.src_rank, msg.hdr.tag, msg.hdr.context);
   if (req == nullptr) {
     if (obs::Recorder* rec = eng_.recorder()) {
-      rec->instant(eng_.now(), rank_, obs::Cat::Unexpected, msg.len, msg.src);
+      rec->instant(eng_.now(), rank_, obs::Cat::Unexpected, msg.hdr.len, msg.hdr.src_rank);
       rec->metrics()
           .gauge("ch3.unexpected.depth")
           .set(static_cast<double>(unexpected_.size() + 1));
@@ -260,26 +265,38 @@ void Ch3Process::deliver_local(UnexMsg msg) {
     // the requests queued behind it.
     as_lists_.resolve(req, [this](MpidRequest* r) { release_deferred(r); });
   }
-  if (msg.kind == UnexMsg::Kind::Eager) {
-    NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
+  satisfy(req, std::move(msg));
+}
+
+void Ch3Process::satisfy(MpidRequest* req, UnexMsg&& msg) {
+  const ShmHdr& hdr = msg.hdr;
+  NMX_ASSERT_MSG(hdr.len <= req->len, "message overflows receive buffer");
+  if (hdr.kind == ShmHdr::Kind::Eager) {
     if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-    complete_recv(req, msg.src, msg.tag, msg.payload.size(), msg.span);
-  } else if (msg.origin == UnexMsg::Origin::Shm) {
-    NMX_ASSERT(msg.len <= req->len);
-    shm_rdv_in_.emplace(std::make_pair(msg.src, msg.rdv_id), req);
-    ShmHdr cts;
-    cts.kind = ShmHdr::Kind::Cts;
-    cts.src_rank = rank_;
-    cts.tag = msg.tag;
-    cts.context = msg.context;
-    cts.rdv_id = msg.rdv_id;
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = cts;
-    shm_->send(local_of(msg.src), std::move(m));
-  } else {
-    legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
+    complete_recv(req, hdr.src_rank, hdr.tag, msg.payload.size(), hdr.span);
+    return;
   }
+  NMX_ASSERT(hdr.kind == ShmHdr::Kind::Rts);
+  ShmHdr cts;
+  cts.kind = ShmHdr::Kind::Cts;
+  cts.src_rank = rank_;
+  cts.tag = hdr.tag;
+  cts.context = hdr.context;
+  cts.rdv_id = hdr.rdv_id;
+  if (vcs_[static_cast<std::size_t>(hdr.src_rank)].same_node) {
+    shm_rdv_in_.emplace(std::make_pair(hdr.src_rank, hdr.rdv_id), req);
+    shm_->send(local_of(hdr.src_rank), nemesis::Message{local_index_, cts, {}});
+    return;
+  }
+  // Legacy network rendezvous: post the data receive *before* granting, so
+  // the DATA message (and the internal NewMadeleine rendezvous underneath
+  // it) finds it posted.
+  nm_irecv(hdr.src_rank, legacy_data_tag(hdr.rdv_id), req->rbuf, req->len,
+           [this, req, src = hdr.src_rank, tag = hdr.tag](nmad::Request& nr) {
+             complete_recv(req, src, tag, nr.received, nr.peer_span);
+             release_later(nr);
+           });
+  legacy_send_ctl(hdr.src_rank, cts, nullptr, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,16 +436,19 @@ void Ch3Process::release(mpi::TxRequest* r) {
 // send paths
 // ---------------------------------------------------------------------------
 
+ShmHdr Ch3Process::header_for(const MpidRequest* req, ShmHdr::Kind kind) const {
+  ShmHdr hdr;
+  hdr.kind = kind;
+  hdr.src_rank = rank_;
+  hdr.tag = req->tag;
+  hdr.context = req->context;
+  hdr.len = req->len;
+  hdr.span = req->span;
+  return hdr;
+}
+
 void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
-  UnexMsg msg;
-  msg.origin = UnexMsg::Origin::Self;
-  msg.kind = UnexMsg::Kind::Eager;
-  msg.src = rank_;
-  msg.tag = req->tag;
-  msg.context = req->context;
-  msg.len = len;
-  msg.span = req->span;
-  msg.payload = nemesis::snapshot(buf, len);
+  UnexMsg msg{header_for(req, ShmHdr::Kind::Eager), nemesis::snapshot(buf, len)};
   eng_.schedule_in_checked(kSelfLatency, [this, msg = std::move(msg)]() mutable {
     deliver_local(std::move(msg));
   });
@@ -437,31 +457,19 @@ void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
 
 void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
   NMX_ASSERT_MSG(shm_ != nullptr, "same-node send without a shared-memory region");
-  ShmHdr hdr;
-  hdr.src_rank = rank_;
-  hdr.tag = req->tag;
-  hdr.context = req->context;
-  hdr.len = len;
-  hdr.span = req->span;
-  if (len <= cfg_.shm_rdv_threshold) {
-    hdr.kind = ShmHdr::Kind::Eager;
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = hdr;
-    m.payload = nemesis::snapshot(buf, len);
-    shm_->send(local_of(req->peer), std::move(m));
+  if (len <= kShmRdvThreshold) {
+    shm_->send(local_of(req->peer), nemesis::Message{local_index_,
+                                                     header_for(req, ShmHdr::Kind::Eager),
+                                                     nemesis::snapshot(buf, len)});
     complete_send(req);  // snapshot taken — buffer reusable
   } else {
     // CH3 shared-memory rendezvous (the left half of Figure 2). The send
     // buffer stays the application's until CTS, where the one snapshot of
     // the payload is taken.
-    hdr.kind = ShmHdr::Kind::Rts;
-    hdr.rdv_id = next_shm_rdv_++;
-    shm_rdv_out_.emplace(hdr.rdv_id, ShmRdvOut{req, buf});
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = hdr;
-    shm_->send(local_of(req->peer), std::move(m));
+    ShmHdr rts = header_for(req, ShmHdr::Kind::Rts);
+    rts.rdv_id = next_shm_rdv_++;
+    shm_rdv_out_.emplace(rts.rdv_id, RdvOut{req, buf});
+    shm_->send(local_of(req->peer), nemesis::Message{local_index_, rts, {}});
   }
 }
 
@@ -471,74 +479,97 @@ void Ch3Process::send_nmad_direct(MpidRequest* req, const void* buf, std::size_t
       [this, req](nmad::Request&) { complete_send(req); }, req->span);
 }
 
+// CH3 legacy netmod path (bypass = false): CH3 protocols over NewMadeleine
+// used as a dumb channel — copies through fixed cells, nested rendezvous.
+void Ch3Process::send_legacy(MpidRequest* req, const void* buf, std::size_t len) {
+  if (len <= kLegacyCellPayload) {
+    legacy_send_ctl(req->peer, header_for(req, ShmHdr::Kind::Eager), buf, len, req);
+  } else {
+    // CH3 network rendezvous — whose DATA message will trigger
+    // NewMadeleine's own internal rendezvous: the nested handshake of Fig 2.
+    ShmHdr rts = header_for(req, ShmHdr::Kind::Rts);
+    rts.rdv_id = next_net_rdv_++;
+    net_rdv_out_.emplace(rts.rdv_id, RdvOut{req, buf});
+    legacy_send_ctl(req->peer, rts, nullptr, 0);
+  }
+}
+
+void Ch3Process::legacy_send_ctl(int dst, const ShmHdr& hdr, const void* payload,
+                                 std::size_t len, MpidRequest* done) {
+  auto cell = serialize_ctl(hdr, payload, len);
+  nm_isend(dst, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
+           [this, done](nmad::Request& nr) {
+             if (done != nullptr) complete_send(done);
+             release_later(nr);
+           });
+}
+
+void Ch3Process::legacy_fetch_ctl(const nmad::ProbeInfo& info) {
+  // Dequeue the cell: receive it into a bounce buffer, then parse. The
+  // extra copy is the §2.1.3 "unnecessary copies in and from the queue
+  // cells" penalty of the non-bypassed design. `info` describes the message
+  // at the front of its channel, which is the one this receive takes.
+  std::vector<std::byte> cell(info.len);
+  std::byte* const data = cell.data();  // moving the vector keeps its buffer
+  nm_irecv(info.src, info.tag, data, info.len,
+           [this, cell = std::move(cell)](nmad::Request& nr) mutable {
+             NMX_ASSERT(nr.received == cell.size());
+             eng_.schedule_in_checked(calib::copy_cost(nr.received),
+                                      [this, cell = std::move(cell)]() mutable {
+                                        const ShmHdr hdr = parse_ctl(cell);
+                                        process_packet(hdr, std::move(cell));
+                                      });
+             release_later(nr);
+           });
+}
+
 // ---------------------------------------------------------------------------
-// shared-memory channel
+// CH3 packets, from the shared-memory cells or the legacy netmod cells
 // ---------------------------------------------------------------------------
 
 void Ch3Process::handle_shm_message(nemesis::Message&& m) {
-  ShmHdr hdr = std::any_cast<ShmHdr>(m.header);
   if (cfg_.pioman) {
     // §4.1.2: the thread-safe progression machinery costs ~450 ns per
     // shared-memory message.
     eng_.schedule_in_checked(calib::kPiomanShmOverhead,
-                     [this, hdr, payload = std::move(m.payload), src = m.src_local]() mutable {
-                       process_shm(hdr, std::move(payload), src);
-                     });
+                             [this, hdr = m.header, payload = std::move(m.payload)]() mutable {
+                               process_packet(hdr, std::move(payload));
+                             });
   } else {
-    process_shm(hdr, std::move(m.payload), m.src_local);
+    process_packet(m.header, std::move(m.payload));
   }
 }
 
-void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*src_local*/) {
+void Ch3Process::process_packet(const ShmHdr& hdr, std::vector<std::byte> payload) {
+  const bool same_node = vcs_[static_cast<std::size_t>(hdr.src_rank)].same_node;
   switch (hdr.kind) {
-    case ShmHdr::Kind::Eager: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::Shm;
-      msg.kind = UnexMsg::Kind::Eager;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.len = payload.size();
-      msg.span = hdr.span;
-      msg.payload = std::move(payload);
-      deliver_local(std::move(msg));
+    case ShmHdr::Kind::Eager:
+    case ShmHdr::Kind::Rts:
+      deliver_local(UnexMsg{hdr, std::move(payload)});
       break;
-    }
-    case ShmHdr::Kind::Rts: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::Shm;
-      msg.kind = UnexMsg::Kind::Rdv;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.rdv_id = hdr.rdv_id;
-      msg.len = hdr.len;
-      msg.span = hdr.span;
-      deliver_local(std::move(msg));
-      break;
-    }
     case ShmHdr::Kind::Cts: {
-      auto it = shm_rdv_out_.find(hdr.rdv_id);
-      NMX_ASSERT_MSG(it != shm_rdv_out_.end(), "shm CTS for unknown rendezvous");
-      ShmRdvOut out = std::move(it->second);
-      shm_rdv_out_.erase(it);
-      ShmHdr data;
-      data.kind = ShmHdr::Kind::Data;
-      data.src_rank = rank_;
-      data.tag = out.req->tag;
-      data.context = out.req->context;
-      data.rdv_id = hdr.rdv_id;
-      data.len = out.req->len;
-      data.span = out.req->span;
-      nemesis::Message m;
-      m.src_local = local_index_;
-      m.header = data;
-      m.payload = nemesis::snapshot(out.buf, out.req->len);
-      shm_->send(local_of(out.req->peer), std::move(m));
-      complete_send(out.req);  // snapshot taken — buffer reusable
+      auto& outs = same_node ? shm_rdv_out_ : net_rdv_out_;
+      auto it = outs.find(hdr.rdv_id);
+      NMX_ASSERT_MSG(it != outs.end(), "CTS for unknown rendezvous");
+      const RdvOut out = it->second;
+      outs.erase(it);
+      if (same_node) {
+        ShmHdr data = header_for(out.req, ShmHdr::Kind::Data);
+        data.rdv_id = hdr.rdv_id;
+        shm_->send(local_of(out.req->peer),
+                   nemesis::Message{local_index_, data, nemesis::snapshot(out.buf, out.req->len)});
+        complete_send(out.req);  // snapshot taken — buffer reusable
+      } else {
+        nm_isend(hdr.src_rank, legacy_data_tag(hdr.rdv_id), out.buf, out.req->len,
+                 [this, req = out.req](nmad::Request& nr) {
+                   complete_send(req);
+                   release_later(nr);
+                 });
+      }
       break;
     }
     case ShmHdr::Kind::Data: {
+      // Shared memory only: legacy DATA travels on its own nmad channel.
       auto it = shm_rdv_in_.find({hdr.src_rank, hdr.rdv_id});
       NMX_ASSERT_MSG(it != shm_rdv_in_.end(), "shm DATA without matching grant");
       MpidRequest* req = it->second;
@@ -552,133 +583,6 @@ void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*s
 }
 
 // ---------------------------------------------------------------------------
-// legacy netmod path (bypass = false): CH3 protocols over NewMadeleine used
-// as a dumb channel — copies through fixed cells, nested rendezvous.
-// ---------------------------------------------------------------------------
-
-void Ch3Process::send_legacy(MpidRequest* req, const void* buf, std::size_t len) {
-  ShmHdr hdr;
-  hdr.src_rank = rank_;
-  hdr.tag = req->tag;
-  hdr.context = req->context;
-  hdr.len = len;
-  hdr.span = req->span;
-  if (len <= cfg_.legacy_cell_payload) {
-    hdr.kind = ShmHdr::Kind::Eager;
-    auto cell = serialize_ctl(hdr, buf, len);
-    nm_isend(req->peer, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
-             [this, req](nmad::Request& nr) {
-               complete_send(req);
-               eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-             });
-  } else {
-    // CH3 network rendezvous — whose DATA message will trigger
-    // NewMadeleine's own internal rendezvous: the nested handshake of Fig 2.
-    hdr.kind = ShmHdr::Kind::Rts;
-    hdr.rdv_id = next_net_rdv_++;
-    net_rdv_out_.emplace(hdr.rdv_id, std::make_pair(req, buf));
-    auto cell = serialize_ctl(hdr, nullptr, 0);
-    nm_isend(req->peer, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
-             [this](nmad::Request& nr) {
-               eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-             });
-  }
-}
-
-void Ch3Process::legacy_on_unexpected(const nmad::ProbeInfo& info) {
-  if (unpack_context(info.tag) == kLegacyCtlContext) legacy_fetch_ctl(info);
-  // Data-context messages are never unexpected: the receive is posted
-  // before the CH3 CTS that triggers them.
-}
-
-void Ch3Process::legacy_fetch_ctl(const nmad::ProbeInfo& info) {
-  // Dequeue the cell: receive it into a bounce buffer, then parse. The
-  // extra copy is the §2.1.3 "unnecessary copies in and from the queue
-  // cells" penalty of the non-bypassed design.
-  auto cell = std::make_shared<std::vector<std::byte>>(sizeof(ShmHdr) + cfg_.legacy_cell_payload);
-  const int src = info.src;
-  nm_irecv(src, info.tag, cell->data(), cell->size(),
-           [this, cell, src](nmad::Request& nr) {
-             const std::size_t got = nr.received;
-             eng_.schedule_in_checked(calib::copy_cost(got), [this, cell, src, got] {
-               legacy_process_ctl(src, std::move(*cell), got);
-             });
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-           });
-}
-
-void Ch3Process::legacy_process_ctl(int src, std::vector<std::byte> cell, std::size_t len) {
-  NMX_ASSERT(len >= sizeof(ShmHdr));
-  ShmHdr hdr;
-  std::memcpy(&hdr, cell.data(), sizeof(ShmHdr));
-  const std::size_t payload_len = len - sizeof(ShmHdr);
-  switch (hdr.kind) {
-    case ShmHdr::Kind::Eager: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::LegacyNet;
-      msg.kind = UnexMsg::Kind::Eager;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.len = payload_len;
-      msg.span = hdr.span;
-      msg.payload.assign(cell.begin() + sizeof(ShmHdr),
-                         cell.begin() + static_cast<std::ptrdiff_t>(len));
-      deliver_local(std::move(msg));
-      break;
-    }
-    case ShmHdr::Kind::Rts: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::LegacyNet;
-      msg.kind = UnexMsg::Kind::Rdv;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.rdv_id = hdr.rdv_id;
-      msg.len = hdr.len;
-      msg.span = hdr.span;
-      deliver_local(std::move(msg));
-      break;
-    }
-    case ShmHdr::Kind::Cts: {
-      auto it = net_rdv_out_.find(hdr.rdv_id);
-      NMX_ASSERT_MSG(it != net_rdv_out_.end(), "legacy CTS for unknown rendezvous");
-      auto [req, buf] = it->second;
-      net_rdv_out_.erase(it);
-      nm_isend(src, pack_tag(kLegacyDataContext, static_cast<int>(hdr.rdv_id & 0x7fffffff)),
-               buf, req->len,
-               [this, req](nmad::Request&) { complete_send(req); });
-      break;
-    }
-    case ShmHdr::Kind::Data:
-      NMX_FAIL("legacy DATA must not arrive on the control channel");
-  }
-}
-
-void Ch3Process::legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidRequest* req) {
-  // Post the data receive *before* granting, so the DATA message (and the
-  // internal NewMadeleine rendezvous underneath it) finds it posted.
-  nm_irecv(src, pack_tag(kLegacyDataContext, static_cast<int>(rdv_id & 0x7fffffff)), req->rbuf,
-           req->len, [this, req, src, tag](nmad::Request& nr) {
-             complete_recv(req, src, tag, nr.received, nr.peer_span);
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-           });
-  ShmHdr cts;
-  cts.kind = ShmHdr::Kind::Cts;
-  cts.src_rank = rank_;
-  cts.rdv_id = rdv_id;
-  legacy_send_ctl(src, cts, nullptr, 0);
-}
-
-void Ch3Process::legacy_send_ctl(int dst, ShmHdr hdr, const void* payload, std::size_t len) {
-  auto cell = serialize_ctl(hdr, payload, len);
-  nm_isend(dst, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
-           [this](nmad::Request& nr) {
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-           });
-}
-
-// ---------------------------------------------------------------------------
 // progress
 // ---------------------------------------------------------------------------
 
@@ -687,13 +591,13 @@ std::optional<mpi::Status> Ch3Process::iprobe(int src, int tag, int context) {
   leave_progress();
   // CH3-matched traffic (shared memory, self, legacy network).
   for (const UnexMsg& m : unexpected_) {
-    if (m.context != context) continue;
-    if (src != mpi::ANY_SOURCE && src != m.src) continue;
-    if (tag != mpi::ANY_TAG && tag != m.tag) continue;
+    if (m.hdr.context != context) continue;
+    if (src != mpi::ANY_SOURCE && src != m.hdr.src_rank) continue;
+    if (tag != mpi::ANY_TAG && tag != m.hdr.tag) continue;
     mpi::Status st;
-    st.source = m.src;
-    st.tag = m.tag;
-    st.count = m.len;
+    st.source = m.hdr.src_rank;
+    st.tag = m.hdr.tag;
+    st.count = m.hdr.len;
     return st;
   }
   // NewMadeleine's buffers (bypass path).

@@ -15,6 +15,14 @@
 //    NewMadeleine's *internal* rendezvous underneath CH3's — the nested
 //    handshake of Figure 2. Kept as a first-class mode so the benefit of the
 //    bypass is measurable (bench/abl_bypass).
+//
+// CH3's own protocol (eager, RTS, CTS, DATA; nemesis::ShmHdr) runs on two
+// byte channels — the Nemesis cells and, without the bypass, the netmod
+// cells — and one path serves it: process_packet() decodes a packet from
+// either channel, deliver_local() matches an arrival against the posted
+// queue, and satisfy() serves a matched receive, whichever side came first.
+// A rendezvous travels on the shared-memory channel when the peer is on this
+// node and on the netmod channel otherwise; self sends are always eager.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +47,11 @@ namespace nmx::ch3 {
 class Ch3Process final : public mpi::Transport {
  public:
   struct Config {
-    nmad::Core::ExtendedConfig nmad;
+    nmad::Config nmad;
     /// Enable PIOMan: background progression + its synchronization costs.
     bool pioman = false;
     /// CH3 -> NewMadeleine direct path (the paper's modification).
     bool bypass = true;
-    /// Intra-node CH3 eager/rendezvous switch (Nemesis LMT).
-    std::size_t shm_rdv_threshold = 64_KiB;
-    /// Legacy mode: netmod cell payload and the CH3 eager/rdv switch for the
-    /// network path (single-cell eager keeps the cells fixed-size).
-    std::size_t legacy_cell_payload = 32000;
   };
 
   /// `shm` may be null when the process is alone on its node.
@@ -76,7 +79,6 @@ class Ch3Process final : public mpi::Transport {
 
   // --- introspection ------------------------------------------------------
   nmad::Core& core() { return *core_; }
-  pioman::Manager* pioman() { return pioman_.get(); }
   const AnySourceLists& any_source_lists() const { return as_lists_; }
   std::size_t outstanding_requests() const { return requests_.size(); }
   std::size_t unexpected_count() const { return unexpected_.size(); }
@@ -89,23 +91,16 @@ class Ch3Process final : public mpi::Transport {
     std::function<void(MpidRequest*, const void*, std::size_t)> isend_fn;
   };
 
+  /// An arrived eager message (header + payload) or RTS (header only) that
+  /// CH3 matches itself.
   struct UnexMsg {
-    enum class Origin { Shm, Self, LegacyNet };
-    enum class Kind { Eager, Rdv };
-    Origin origin = Origin::Shm;
-    Kind kind = Kind::Eager;
-    int src = -1;
-    int tag = 0;
-    int context = 0;
-    std::uint64_t rdv_id = 0;  ///< shm or legacy CH3 rendezvous id
-    std::size_t len = 0;
-    obs::SpanId span = 0;  ///< sender's message-lifecycle span (tracing)
+    ShmHdr hdr;
     std::vector<std::byte> payload;
   };
 
-  /// Shared-memory rendezvous sent, awaiting CTS. `buf` (req->len bytes)
-  /// is the application's send buffer, valid until complete_send.
-  struct ShmRdvOut {
+  /// CH3 rendezvous sent, awaiting CTS. `buf` (req->len bytes) is the
+  /// application's send buffer, valid until the DATA has taken it.
+  struct RdvOut {
     MpidRequest* req;
     const void* buf;
   };
@@ -124,6 +119,9 @@ class Ch3Process final : public mpi::Transport {
                           std::function<void(nmad::Request&)> done, obs::SpanId span = 0);
   nmad::Request* nm_irecv(int src, nmad::Tag tag, void* buf, std::size_t len,
                           std::function<void(nmad::Request&)> done, obs::SpanId span = 0);
+  /// Release a CH3-internal nmad request (one no MpidRequest holds) once
+  /// its completion upcall has returned.
+  void release_later(nmad::Request& nr);
 
   // send paths
   void send_self(MpidRequest* req, const void* buf, std::size_t len);
@@ -143,17 +141,18 @@ class Ch3Process final : public mpi::Transport {
   void remove_posted(MpidRequest* req);
   bool match_unexpected(MpidRequest* req);  // consume an unexpected msg if any
   void deliver_local(UnexMsg msg);          // arrival -> match or store
+  void satisfy(MpidRequest* req, UnexMsg&& msg);  // matched: copy, or grant
 
-  // shared-memory channel
+  // CH3 packets, from either byte channel
+  ShmHdr header_for(const MpidRequest* req, ShmHdr::Kind kind) const;
   void handle_shm_message(nemesis::Message&& m);
-  void process_shm(ShmHdr hdr, std::vector<std::byte> payload, int src_local);
+  void process_packet(const ShmHdr& hdr, std::vector<std::byte> payload);
 
   // legacy netmod (bypass = false)
-  void legacy_on_unexpected(const nmad::ProbeInfo& info);
   void legacy_fetch_ctl(const nmad::ProbeInfo& info);
-  void legacy_process_ctl(int src, std::vector<std::byte> cell, std::size_t len);
-  void legacy_send_ctl(int dst, ShmHdr hdr, const void* payload, std::size_t len);
-  void legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidRequest* req);
+  /// Send one control cell; `done` (optional) completes once it is sent.
+  void legacy_send_ctl(int dst, const ShmHdr& hdr, const void* payload, std::size_t len,
+                       MpidRequest* done = nullptr);
 
   // completion helpers
   void complete_recv(MpidRequest* req, int src, int tag, std::size_t count,
@@ -185,12 +184,12 @@ class Ch3Process final : public mpi::Transport {
 
   // shared-memory CH3 rendezvous state
   std::uint64_t next_shm_rdv_ = 1;
-  std::map<std::uint64_t, ShmRdvOut> shm_rdv_out_;
+  std::map<std::uint64_t, RdvOut> shm_rdv_out_;
   std::map<std::pair<int, std::uint64_t>, MpidRequest*> shm_rdv_in_;
 
   // legacy CH3 network rendezvous state
   std::uint64_t next_net_rdv_ = 1;
-  std::map<std::uint64_t, std::pair<MpidRequest*, const void*>> net_rdv_out_;
+  std::map<std::uint64_t, RdvOut> net_rdv_out_;
 
   int depth_ = 0;
 };

@@ -79,22 +79,20 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         break;
       }
       case StackKind::Mvapich2: {
-        baseline::MvapichTransport::Config c;
-        c.use_rcache = cfg_.mvapich_rcache;
         baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(std::make_unique<baseline::MvapichTransport>(env, c));
+        transports_.push_back(
+            std::make_unique<baseline::MvapichTransport>(env, cfg_.mvapich_rcache));
         break;
       }
       case StackKind::OpenMpiBtlIb:
       case StackKind::OpenMpiBtlMx:
       case StackKind::OpenMpiCmMx: {
-        baseline::OmpiTransport::Config c;
-        c.variant = cfg_.stack == StackKind::OpenMpiBtlIb  ? baseline::OmpiVariant::BtlIb
-                    : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
-                                                             : baseline::OmpiVariant::CmMx;
-        c.dilation = cfg_.ompi_dilation;
+        const baseline::OmpiVariant variant =
+            cfg_.stack == StackKind::OpenMpiBtlIb   ? baseline::OmpiVariant::BtlIb
+            : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
+                                                    : baseline::OmpiVariant::CmMx;
         baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, c));
+        transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, variant));
         break;
       }
     }

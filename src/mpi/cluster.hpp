@@ -62,7 +62,6 @@ struct ClusterConfig {
 
   // baseline knobs
   bool mvapich_rcache = true;
-  double ompi_dilation = 1.09;
 
   /// Record an observability stream (Cluster::recorder()).
   bool trace = false;

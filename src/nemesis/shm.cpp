@@ -7,19 +7,17 @@
 
 namespace nmx::nemesis {
 
-ShmNode::ShmNode(sim::Engine& eng, int num_local_procs, ShmConfig cfg)
+ShmNode::ShmNode(sim::Engine& eng, int num_local_procs)
     : eng_(eng),
-      cfg_(cfg),
       num_local_(num_local_procs),
-      pool_(static_cast<std::size_t>(num_local_procs) * cfg.cells_per_proc),
+      pool_(static_cast<std::size_t>(num_local_procs) * kCellsPerProc),
       cells_(pool_.size()),
       procs_(static_cast<std::size_t>(num_local_procs)) {
   NMX_ASSERT(num_local_ > 0);
-  NMX_ASSERT(cfg_.cells_per_proc > 0 && cfg_.cell_payload > 0);
   for (int p = 0; p < num_local_; ++p) {
     procs_[p].partial.resize(static_cast<std::size_t>(num_local_));
-    for (std::size_t c = 0; c < cfg_.cells_per_proc; ++c) {
-      const auto ci = static_cast<CellIndex>(p * cfg_.cells_per_proc + c);
+    for (std::size_t c = 0; c < kCellsPerProc; ++c) {
+      const auto ci = static_cast<CellIndex>(p * kCellsPerProc + c);
       cells_[static_cast<std::size_t>(ci)].owner = p;
       procs_[p].free_queue.enqueue(pool_, ci);
     }
@@ -61,12 +59,11 @@ void ShmNode::pump(int src_local) {
         return;
       }
       Cell& cell = cells_[static_cast<std::size_t>(ci)];
-      const std::size_t frag = std::min(cfg_.cell_payload, s.total - s.offset);
+      const std::size_t frag = std::min(calib::kNemesisCellPayload, s.total - s.offset);
       cell.src_local = src_local;
       cell.dst_local = s.dst_local;
-      cell.first = !s.started;
+      cell.msg = s.started ? kNoMessage : park(std::move(s.msg));
       cell.frag = frag;
-      if (cell.first) cell.msg = std::move(s.msg);
       s.offset += frag;
       s.started = true;
 
@@ -74,10 +71,10 @@ void ShmNode::pump(int src_local) {
       // receiver after the queue latency plus its copy-out cost. Arrivals
       // are clamped monotonic per sender: enqueue order is program order,
       // even when a small cell follows a large one.
-      const std::size_t wire_bytes = frag + (cell.first ? cfg_.header_bytes : 0);
+      const std::size_t wire_bytes = frag + (cell.msg != kNoMessage ? kHeaderBytes : 0);
       const net::Channel::Grant g = ps.cpu.reserve(eng_.now(), copy_time(wire_bytes));
       const Time arrival =
-          std::max(g.end + cfg_.latency + copy_time(wire_bytes), ps.last_arrival);
+          std::max(g.end + calib::kShmLatency + copy_time(wire_bytes), ps.last_arrival);
       ps.last_arrival = arrival;
       ++cells_in_flight_;
       if (obs::Recorder* rec = eng_.recorder()) {
@@ -97,6 +94,17 @@ void ShmNode::pump(int src_local) {
   }
 }
 
+ShmNode::MessageSlot ShmNode::park(Message&& msg) {
+  if (free_messages_.empty()) {
+    messages_.push_back(std::move(msg));
+    return static_cast<MessageSlot>(messages_.size() - 1);
+  }
+  const MessageSlot slot = free_messages_.back();
+  free_messages_.pop_back();
+  messages_[static_cast<std::size_t>(slot)] = std::move(msg);
+  return slot;
+}
+
 bool ShmNode::poll(int local_proc) {
   ProcState& pd = procs_.at(static_cast<std::size_t>(local_proc));
   bool any = false;
@@ -106,13 +114,12 @@ bool ShmNode::poll(int local_proc) {
     Cell& cell = cells_[static_cast<std::size_t>(ci)];
     NMX_ASSERT(cell.dst_local == local_proc);
     ProcState::Partial& part = pd.partial[static_cast<std::size_t>(cell.src_local)];
-    if (cell.first) {
-      NMX_ASSERT_MSG(!part.active, "new message started before previous completed");
-      part.active = true;
-      part.msg = std::exchange(cell.msg, Message{});
+    if (cell.msg != kNoMessage) {
+      NMX_ASSERT_MSG(part.msg == kNoMessage, "new message started before previous completed");
+      part.msg = std::exchange(cell.msg, kNoMessage);
       part.received = 0;
     }
-    NMX_ASSERT_MSG(part.active, "fragment without a first-fragment header");
+    NMX_ASSERT_MSG(part.msg != kNoMessage, "fragment without a first-fragment header");
     part.received += cell.frag;
     const int owner = cell.owner;
 
@@ -125,10 +132,12 @@ bool ShmNode::poll(int local_proc) {
       pump(owner);
     }
 
-    if (part.received == part.msg.payload.size()) {
-      part.active = false;
+    if (part.received == messages_[static_cast<std::size_t>(part.msg)].payload.size()) {
+      const MessageSlot slot = std::exchange(part.msg, kNoMessage);
+      Message msg = std::move(messages_[static_cast<std::size_t>(slot)]);
+      free_messages_.push_back(slot);
       NMX_ASSERT_MSG(pd.deliver != nullptr, "no deliver callback registered");
-      pd.deliver(std::exchange(part.msg, Message{}));
+      pd.deliver(std::move(msg));
     }
   }
   return any;

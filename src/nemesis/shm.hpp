@@ -3,10 +3,11 @@
 // enqueue. Large messages are fragmented into cells; the receiver polls its
 // single receive queue (which is what makes MPI_ANY_SOURCE cheap here).
 //
-// Cells do not hold bytes: the message (header + payload) moves with its
-// first cell, and every cell carries only its fragment length. The host
-// copies a shared-memory byte twice — the sender's snapshot and the
-// receiver's landing copy — while the model charges the cell copies.
+// Cells do not hold bytes: the message (its fixed packet header + payload)
+// is parked in a node-side slot that its first cell names, and every cell
+// carries only its fragment length. The host copies a shared-memory byte
+// twice — the sender's snapshot and the receiver's landing copy — while the
+// model charges the cell copies.
 //
 // Timing model: copying into a cell occupies the sender CPU (serialized via a
 // Channel), each cell then becomes visible to the receiver after
@@ -17,8 +18,8 @@
 // large shared-memory transfers, exactly the effect PIOMan exists to fix.
 #pragma once
 
-#include <any>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -31,13 +32,30 @@
 
 namespace nmx::nemesis {
 
-/// One logical message handed to / delivered by the channel. `header` is an
-/// opaque upper-layer struct (CH3 packet header). The channel owns the
-/// message from send() to delivery: header and payload travel with the
-/// first cell and are handed to the receiver once every fragment has landed.
+/// The fixed packet header that rides a message's first cell, as MPICH2's
+/// CH3 packet does. The rendezvous kinds implement the CH3 RTS/CTS/DATA
+/// protocol of Figure 2 (used by CH3 intra-node, and on the network without
+/// the bypass, §3.1.1); the baseline stacks send Eager only. The channel
+/// itself reads none of it. The legacy netmod path sends it as raw bytes, so
+/// its size is part of that path's modeled cost.
+struct ShmHdr {
+  enum class Kind : std::uint8_t { Eager, Rts, Cts, Data };
+  Kind kind = Kind::Eager;
+  int src_rank = -1;
+  int tag = 0;
+  int context = 0;
+  std::uint64_t rdv_id = 0;
+  std::size_t len = 0;     ///< full payload size (Rts announces it)
+  std::uint64_t span = 0;  ///< sender's message-lifecycle span (tracing)
+};
+
+/// One logical message handed to / delivered by the channel. The channel
+/// owns the message from send() to delivery: header and payload travel with
+/// the first cell and are handed to the receiver once every fragment has
+/// landed.
 struct Message {
   int src_local = -1;  ///< sender's node-local process index
-  std::any header;
+  ShmHdr header;
   std::vector<std::byte> payload;
 };
 
@@ -47,14 +65,6 @@ inline std::vector<std::byte> snapshot(const void* buf, std::size_t len) {
   const auto* bytes = static_cast<const std::byte*>(buf);
   return std::vector<std::byte>(bytes, bytes + len);
 }
-
-struct ShmConfig {
-  std::size_t cells_per_proc = 64;
-  std::size_t cell_payload = calib::kNemesisCellPayload;
-  std::size_t header_bytes = 64;  ///< wire size of the serialized header
-  Time latency = calib::kShmLatency;
-  Bandwidth copy_bandwidth = calib::kShmCopyBandwidth;
-};
 
 /// The shared-memory region and queue state of one node.
 class ShmNode {
@@ -66,7 +76,12 @@ class ShmNode {
   /// queue — the hook the progress layer / PIOMan mailbox watches.
   using ActivityFn = std::function<void()>;
 
-  ShmNode(sim::Engine& eng, int num_local_procs, ShmConfig cfg = {});
+  /// Cells each process contributes to the region (its free queue).
+  static constexpr std::size_t kCellsPerProc = 64;
+  /// Modeled size of the packet header copied with the first cell.
+  static constexpr std::size_t kHeaderBytes = 64;
+
+  ShmNode(sim::Engine& eng, int num_local_procs);
 
   int num_local_procs() const { return num_local_; }
 
@@ -90,18 +105,21 @@ class ShmNode {
   std::size_t cells_in_flight() const { return cells_in_flight_; }
 
  private:
+  /// Index into `messages_`; kNoMessage on every cell but a first one.
+  using MessageSlot = std::int32_t;
+  static constexpr MessageSlot kNoMessage = -1;
+
   struct Cell {
     int owner = -1;      ///< process whose free queue this cell belongs to
     int src_local = -1;  ///< filled at send time
     int dst_local = -1;
-    bool first = false;    ///< first fragment: carries the message
-    std::size_t frag = 0;  ///< payload bytes this cell stands for
-    Message msg;           ///< whole message on the first fragment, else empty
+    MessageSlot msg = kNoMessage;  ///< first fragment: the message it carries
+    std::size_t frag = 0;          ///< payload bytes this cell stands for
   };
 
   struct PendingSend {
     int dst_local;
-    Message msg;  ///< moved into the first cell once that cell is taken
+    Message msg;  ///< parked for the first cell once that cell is taken
     /// Payload size, kept here: after the first cell leaves, `msg` is empty
     /// and a sender stalled on its free queue resumes from these counters.
     std::size_t total;
@@ -122,23 +140,27 @@ class ShmNode {
     // The in-flight message from each local sender: taken from its first
     // cell, delivered once the fragment lengths add up to its payload size.
     struct Partial {
-      bool active = false;
-      Message msg;
+      MessageSlot msg = kNoMessage;  ///< kNoMessage while none is in flight
       std::size_t received = 0;
     };
     std::vector<Partial> partial;  ///< indexed by src_local
   };
 
   void pump(int src_local);
-  Time copy_time(std::size_t bytes) const {
-    return static_cast<double>(bytes) / cfg_.copy_bandwidth;
+  MessageSlot park(Message&& msg);
+  static Time copy_time(std::size_t bytes) {
+    return static_cast<double>(bytes) / calib::kShmCopyBandwidth;
   }
 
   sim::Engine& eng_;
-  ShmConfig cfg_;
   int num_local_;
   CellPool pool_;
   std::vector<Cell> cells_;
+  /// Messages between their first cell's injection and their delivery, so
+  /// a cell stays a few words; slots are reused, so this grows only to the
+  /// most messages ever in flight at once.
+  std::vector<Message> messages_;
+  std::vector<MessageSlot> free_messages_;
   std::vector<ProcState> procs_;
   std::size_t cells_in_flight_ = 0;
 };

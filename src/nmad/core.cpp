@@ -30,10 +30,14 @@ constexpr Time kNicCollProc = 0.2e-6;
 /// NIC-internal loopback between co-located processes sharing the node's
 /// NICs: no wire, no egress occupancy, just a doorbell across the bus.
 constexpr Time kNicCollLoopback = 0.3e-6;
+/// Give up retransmitting an RTS (but keep waiting) after this many retries,
+/// so a receiver that simply has not posted its receive yet is not hammered
+/// forever.
+constexpr std::uint32_t kRdvRetryLimit = 10;
 }  // namespace
 
 Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
-           ExtendedConfig cfg)
+           Config cfg)
     : eng_(eng),
       fabric_(fabric),
       router_(router),
@@ -43,8 +47,6 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
       sampling_(fabric, cfg.rails) {
   NMX_ASSERT(!cfg_.rails.empty());
   StrategyOptions opts;
-  opts.max_aggregate = cfg_.max_aggregate;
-  opts.min_split_chunk = cfg_.min_split_chunk;
   opts.rdv_quantum = cfg_.rdv_quantum;
   opts.adaptive_split = cfg_.adaptive_split;
   strategy_ = make_strategy(cfg_.strategy, sampling_, opts);
@@ -125,7 +127,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   e.tag = tag;
   e.seq = seq;
   e.span = span;
-  if (len <= cfg_.rdv_threshold) {
+  if (len <= calib::kNmadRdvThreshold) {
     e.kind = Entry::Kind::Eager;
     e.bytes = Payload::copy_of(buf, len);
     e.sreq = req;
@@ -435,7 +437,7 @@ void Core::rts_retry(Request* req) {
   req->retry_timer = 0;
   if (req->cts_seen || req->completed) return;  // grant arrived; timer raced it
   obs::Recorder* rec = eng_.recorder();
-  if (req->rts_retries >= static_cast<std::uint32_t>(cfg_.rdv_retry_limit)) {
+  if (req->rts_retries >= kRdvRetryLimit) {
     // Out of retries: stop retransmitting but keep waiting. A CTS is only
     // ever sent once the receive is posted, so a slow consumer looks exactly
     // like a lost handshake from here — giving up would turn every slow

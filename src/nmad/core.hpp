@@ -43,18 +43,11 @@ struct ProbeInfo {
 
 class Core {
  public:
-  struct ExtendedConfig : Config {
-    /// Ablation switch for bench/abl_splitratio.
-    bool adaptive_split = true;
-  };
-
   Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
-       ExtendedConfig cfg);
+       Config cfg);
 
   int proc() const { return my_proc_; }
-  const ExtendedConfig& config() const { return cfg_; }
   const Sampling& sampling() const { return sampling_; }
-  const Strategy& strategy() const { return *strategy_; }
 
   // --- nm_sr interface ----------------------------------------------------
 
@@ -307,7 +300,7 @@ class Core {
   net::ProcRouter& router_;
   int my_proc_;
   int my_node_;
-  ExtendedConfig cfg_;
+  Config cfg_;
   Sampling sampling_;
   std::unique_ptr<Strategy> strategy_;
   std::vector<Driver> drivers_;

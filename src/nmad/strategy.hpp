@@ -121,6 +121,7 @@ class Strategy {
 
 struct StrategyOptions {
   std::size_t max_aggregate = calib::kNmadMaxAggregate;
+  /// Minimum rendezvous chunk worth putting on an extra rail.
   std::size_t min_split_chunk = 16_KiB;
   /// CostModel: cap on the rendezvous chunk emitted per wire message so the
   /// split keeps re-planning while the transfer drains (0 = no cap).

@@ -100,10 +100,9 @@ struct Config {
   /// Fabric rail indices this core drives (local rail i = rails[i]).
   std::vector<int> rails{0};
   StrategyKind strategy = StrategyKind::Aggreg;
-  std::size_t rdv_threshold = calib::kNmadRdvThreshold;
-  std::size_t max_aggregate = calib::kNmadMaxAggregate;
-  /// Minimum rendezvous chunk worth putting on an extra rail.
-  std::size_t min_split_chunk = 16_KiB;
+  /// Ablation switch for bench/abl_splitratio: false = naive even multirail
+  /// split.
+  bool adaptive_split = true;
   /// CostModel: largest rendezvous chunk emitted per wire message, so the
   /// split is re-planned as rails drain (0 = emit each rail's full share).
   std::size_t rdv_quantum = 2_MiB;
@@ -125,11 +124,6 @@ struct Config {
   /// so healthy runs schedule nothing extra; chaos/faulted configurations
   /// turn it on.
   Time rdv_retry_timeout = 0;
-  /// Give up retransmitting (but keep waiting) after this many retries, so a
-  /// receiver that simply has not posted its receive yet is not hammered
-  /// forever. The request stays pending; a genuinely lost handshake then
-  /// surfaces as a deadlock/test timeout, not an infinite retry loop.
-  int rdv_retry_limit = 10;
   /// Feed measured egress occupancy of large transfers back into the sampled
   /// per-rail bandwidth (Sampling::observe_egress), so silent rail
   /// degradation is re-learned from prediction error instead of poisoning

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ch3/anysource.hpp"
 #include "ch3/process.hpp"
+#include "harness/netpipe.hpp"
 #include "mpi/cluster.hpp"
 
 namespace nmx {
@@ -270,7 +272,7 @@ TEST(ShmRendezvous, LateReceiverGetsBytesFromBeforeTheSenderReusedItsBuffer) {
   // a sender that overwrites and frees its buffer as soon as wait() returns
   // must not change what the (late) receiver gets.
   mpi::Cluster cluster(stack_cfg(1, 2));
-  const std::size_t n = 3 * ch3::Ch3Process::Config{}.shm_rdv_threshold / 2;
+  const std::size_t n = 96 * 1024;  // 1.5x the 64 KiB shm rendezvous threshold
   std::vector<std::byte> original(n);
   for (std::size_t i = 0; i < n; ++i) original[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
   cluster.run([&](mpi::Comm& c) {
@@ -369,6 +371,148 @@ TEST(LegacyPath, NestedHandshakeCostsMoreThanBypass) {
   const double legacy = transfer_time(false);
   const double bypass = transfer_time(true);
   EXPECT_GT(legacy, bypass * 1.02);  // at least one extra handshake round
+}
+
+TEST(LegacyPath, NetpipeVirtualTimesArePinned) {
+  // Exact virtual latency and bandwidth of the legacy path across its
+  // regimes: CH3 eager in one netmod cell (0, 4, 31999 B), CH3 rendezvous
+  // whose DATA goes eager in nmad (32001 B), and the nested handshake with
+  // nmad's own rendezvous underneath (96 KiB, 2 MiB).
+  struct Pin {
+    std::size_t size;
+    double latency_us;
+    double bandwidth_MBps;
+  };
+  const std::vector<Pin> pins = {
+      {0, 2.1622628749102, 0},
+      {4, 2.1674368321210395, 1.7600038945042573},
+      {31999, 43.5526270723891, 700.68389674776029},
+      {32001, 37.655156295600968, 810.47417675654981},
+      {96 * 1024, 123.10599210892526, 761.53888526440835},
+      {2 * 1024 * 1024, 1584.161164522721, 1262.4978094337791},
+  };
+  std::vector<std::size_t> sizes;
+  for (const Pin& p : pins) sizes.push_back(p.size);
+  const auto pts = harness::netpipe(stack_cfg(2, 2, /*bypass=*/false), sizes);
+  ASSERT_EQ(pts.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(pts[i].size, pins[i].size);
+    EXPECT_EQ(pts[i].latency_us, pins[i].latency_us) << "size " << pins[i].size;
+    EXPECT_EQ(pts[i].bandwidth_MBps, pins[i].bandwidth_MBps) << "size " << pins[i].size;
+  }
+}
+
+std::vector<std::byte> pattern(std::size_t n, int seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::byte>((i * 13 + seed) & 0xff);
+  return v;
+}
+
+// Above the legacy cell payload: a CH3 rendezvous on the network path.
+constexpr std::size_t kLegacyRdvBytes = 96 * 1024;
+
+// Spin in iprobe until every (src, tag) pair sits in CH3's unexpected queue,
+// so the receive that follows is served from there.
+void await_unexpected(mpi::Comm& c, const std::vector<int>& srcs, int tag) {
+  for (int src : srcs) {
+    std::optional<mpi::Status> st;
+    while (!(st = c.iprobe(src, tag))) c.compute(1e-6);
+    EXPECT_EQ(st->count, kLegacyRdvBytes);
+  }
+}
+
+// Nothing left behind: CH3's unexpected queue is empty and every nmad
+// request the legacy path created internally has been released.
+void expect_drained(mpi::Cluster& cluster) {
+  for (int r = 0; r < cluster.config().procs; ++r) {
+    auto& p = dynamic_cast<ch3::Ch3Process&>(cluster.transport(r));
+    EXPECT_EQ(p.unexpected_count(), 0u) << "rank " << r;
+    EXPECT_EQ(p.core().outstanding_requests(), 0u) << "rank " << r;
+  }
+}
+
+TEST(LegacyPath, RendezvousQueuedBeforeReceiveIsPosted) {
+  mpi::Cluster cluster(stack_cfg(2, 2, /*bypass=*/false));
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      const auto msg = pattern(kLegacyRdvBytes, 1);
+      c.send(msg.data(), msg.size(), 1, 6);
+    } else {
+      await_unexpected(c, {0}, 6);
+      std::vector<std::byte> in(kLegacyRdvBytes);
+      const mpi::Status st = c.recv(in.data(), in.size(), 0, 6);
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.tag, 6);
+      EXPECT_EQ(st.count, kLegacyRdvBytes);
+      EXPECT_EQ(in, pattern(kLegacyRdvBytes, 1));
+    }
+  });
+  expect_drained(cluster);
+}
+
+TEST(LegacyPath, QueuedRendezvousReceivedWithAnySource) {
+  mpi::Cluster cluster(stack_cfg(3, 3, /*bypass=*/false));
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      await_unexpected(c, {1, 2}, 8);
+      std::vector<int> seen;
+      for (int i = 0; i < 2; ++i) {
+        std::vector<std::byte> in(kLegacyRdvBytes);
+        const mpi::Status st = c.recv(in.data(), in.size(), mpi::ANY_SOURCE, 8);
+        EXPECT_EQ(st.tag, 8);
+        EXPECT_EQ(st.count, kLegacyRdvBytes);
+        EXPECT_EQ(in, pattern(kLegacyRdvBytes, st.source));
+        seen.push_back(st.source);
+      }
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+    } else {
+      const auto msg = pattern(kLegacyRdvBytes, c.rank());
+      c.send(msg.data(), msg.size(), 0, 8);
+    }
+  });
+  expect_drained(cluster);
+}
+
+TEST(LegacyPath, PiomanProgressesEagerAndRendezvous) {
+  // PIOMan services the legacy control channel in the background: the
+  // receiver finds both messages queued after computing, then receives
+  // them; the reply rendezvous meets an already posted receive.
+  mpi::ClusterConfig cfg = stack_cfg(2, 2, /*bypass=*/false);
+  cfg.pioman = true;
+  mpi::Cluster cluster(cfg);
+  cluster.run([&](mpi::Comm& c) {
+    const int peer = 1 - c.rank();
+    const auto small = pattern(4, 5);
+    const auto big = pattern(kLegacyRdvBytes, c.rank());
+    std::vector<std::byte> in(kLegacyRdvBytes);
+    if (c.rank() == 0) {
+      c.send(small.data(), small.size(), peer, 2);
+      c.send(big.data(), big.size(), peer, 3);
+      const mpi::Status st = c.recv(in.data(), in.size(), peer, 4);
+      EXPECT_EQ(st.source, peer);
+      EXPECT_EQ(st.tag, 4);
+      EXPECT_EQ(st.count, kLegacyRdvBytes);
+      EXPECT_EQ(in, pattern(kLegacyRdvBytes, peer));
+    } else {
+      c.compute(300e-6);
+      EXPECT_TRUE(c.iprobe(peer, 2).has_value());
+      EXPECT_TRUE(c.iprobe(peer, 3).has_value());
+      std::vector<std::byte> in_small(4);
+      mpi::Status st = c.recv(in_small.data(), in_small.size(), peer, 2);
+      EXPECT_EQ(st.source, peer);
+      EXPECT_EQ(st.tag, 2);
+      EXPECT_EQ(st.count, 4u);
+      EXPECT_EQ(in_small, small);
+      st = c.recv(in.data(), in.size(), peer, 3);
+      EXPECT_EQ(st.source, peer);
+      EXPECT_EQ(st.tag, 3);
+      EXPECT_EQ(st.count, kLegacyRdvBytes);
+      EXPECT_EQ(in, pattern(kLegacyRdvBytes, peer));
+      c.send(big.data(), big.size(), peer, 4);
+    }
+  });
+  expect_drained(cluster);
 }
 
 }  // namespace

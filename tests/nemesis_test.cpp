@@ -95,7 +95,7 @@ struct ShmFixture : ::testing::Test {
   void send(std::size_t n, int tag_seed) {
     Message m;
     m.src_local = 0;
-    m.header = tag_seed;
+    m.header.tag = tag_seed;
     m.payload = payload_of(n, tag_seed);
     node.send(1, std::move(m));
   }
@@ -106,7 +106,7 @@ TEST_F(ShmFixture, SmallMessageArrivesIntact) {
   eng.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].payload, payload_of(100, 1));
-  EXPECT_EQ(std::any_cast<int>(delivered[0].header), 1);
+  EXPECT_EQ(delivered[0].header.tag, 1);
   EXPECT_EQ(delivered[0].src_local, 0);
 }
 
@@ -131,7 +131,7 @@ TEST_F(ShmFixture, MessagesKeepSendOrder) {
   eng.run();
   ASSERT_EQ(delivered.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(std::any_cast<int>(delivered[static_cast<std::size_t>(i)].header), i);
+    EXPECT_EQ(delivered[static_cast<std::size_t>(i)].header.tag, i);
   }
 }
 
@@ -195,7 +195,7 @@ TEST(ShmCells, InterleavedSendersDeliverIntactInPerSenderOrder) {
   for (const Spec& sp : specs) {
     Message m;
     m.src_local = sp.src;
-    m.header = sp.tag;
+    m.header.tag = sp.tag;
     m.payload = payload_of(sp.n, sp.tag);
     node.send(2, std::move(m));
   }
@@ -205,7 +205,7 @@ TEST(ShmCells, InterleavedSendersDeliverIntactInPerSenderOrder) {
   ASSERT_EQ(delivered.size(), specs.size());
   std::vector<std::vector<int>> order(2);
   for (const Message& m : delivered) {
-    const int tag = std::any_cast<int>(m.header);
+    const int tag = m.header.tag;
     const auto it = std::find_if(specs.begin(), specs.end(),
                                  [tag](const Spec& sp) { return sp.tag == tag; });
     ASSERT_NE(it, specs.end());
@@ -227,7 +227,7 @@ TEST(ShmTiming, ThreeCellMessageMatchesClosedForm) {
   node.set_deliver(1, [&](Message&&) { arrival = eng.now(); });
   node.set_activity_hook(1, [&] { node.poll(1); });
   const double cell = static_cast<double>(calib::kNemesisCellPayload);
-  const double header = static_cast<double>(ShmConfig{}.header_bytes);
+  const double header = static_cast<double>(ShmNode::kHeaderBytes);
   Message m;
   m.src_local = 0;
   m.payload = payload_of(3 * calib::kNemesisCellPayload, 0);

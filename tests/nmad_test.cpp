@@ -266,7 +266,7 @@ struct CoreFixture : ::testing::Test {
   net::Fabric fabric{eng, topo};
   net::ProcRouter router0{fabric, 0};
   net::ProcRouter router1{fabric, 1};
-  Core::ExtendedConfig cfg;
+  Config cfg;
 
   std::unique_ptr<Core> a;  // proc 0
   std::unique_ptr<Core> b;  // proc 1
@@ -373,7 +373,7 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
     net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
     net::Fabric fabric(eng, topo);
     net::ProcRouter r0(fabric, 0), r1(fabric, 1);
-    Core::ExtendedConfig cfg;
+    Config cfg;
     cfg.strategy = k;
     cfg.rails = {0, 1};
     Core a(eng, fabric, r0, 0, cfg);
@@ -432,7 +432,7 @@ struct ZeroCopyFixture : ::testing::Test {
     if (rail1_down_at > 0) spec.rail_down.push_back({rail1_down_at, /*rail=*/1});
     sim::FaultPlan plan(spec);
     fabric.set_fault_plan(&plan);
-    Core::ExtendedConfig cfg;
+    Config cfg;
     cfg.strategy = kind;
     cfg.rails = {0, 1};
     cfg.fault_plan = &plan;
@@ -689,7 +689,7 @@ struct ThreeCoreFixture : ::testing::Test {
   net::ProcRouter router0{fabric, 0};
   net::ProcRouter router1{fabric, 1};
   net::ProcRouter router2{fabric, 2};
-  Core::ExtendedConfig cfg;
+  Config cfg;
   std::unique_ptr<Core> a;  // proc 0
   std::unique_ptr<Core> b;  // proc 1
   std::unique_ptr<Core> c;  // proc 2

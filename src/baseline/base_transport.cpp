@@ -12,6 +12,7 @@ constexpr Time kSelfLatency = 0.1_us;
 BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra)
     : eng_(env.eng),
       fabric_(env.fabric),
+      peers_(env.peers),
       shm_(env.shm),
       rank_(env.rank),
       local_index_(env.local_index),
@@ -19,7 +20,6 @@ BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra
       sw_send_(sw_send),
       sw_recv_(sw_recv),
       shm_extra_(shm_extra) {
-  env.router->register_proc(rank_, [this](net::WirePacket&& p) { rx_wire(std::move(p)); });
   if (shm_) {
     shm_->set_deliver(local_index_, [this](nemesis::Message&& m) { handle_shm(std::move(m)); });
     shm_->set_activity_hook(local_index_, [this] {
@@ -170,27 +170,25 @@ void BaseTransport::inject(PendingTx tx) {
   // Send-side software (sw cost + copy/registration prep) serializes on the
   // host CPU; the NIC then serializes transfers on its own.
   const net::Channel::Grant g = prep_cpu_.reserve(eng_->now(), sw_send_ + tx.prep);
-  const int dst = tx.dst;
-  // Wrap the packet now rather than inside the closure: capturing the raw
-  // BasePkt (64 bytes) next to the on_egress std::function would spill the
-  // event slot's inline closure storage; the WirePacket's std::any wrapper
-  // is half the size and the NIC only reads it at g.end anyway.
-  net::WirePacket wp;
-  wp.src_node = my_node_;
-  wp.dst_node = fabric_->topology().node_of(dst);
-  wp.dst_proc = dst;
-  wp.rail = rail();
-  wp.bytes = tx.pkt.wire_bytes();
-  wp.payload = std::move(tx.pkt);
-  eng_->schedule_checked(g.end, [this, wp = std::move(wp),
-                         on_egress = std::move(tx.on_egress)]() mutable {
-    const Time egress = fabric_->transmit(std::move(wp));
-    if (on_egress) eng_->schedule_checked(egress, std::move(on_egress));
-  });
+  injected_.push_back(std::move(tx));
+  eng_->schedule_checked(g.end, [this] { transmit_next(); });
 }
 
-void BaseTransport::rx_wire(net::WirePacket&& pkt) {
-  pending_rx_.push_back(std::move(std::any_cast<BasePkt&>(pkt.payload)));
+void BaseTransport::transmit_next() {
+  PendingTx tx = std::move(injected_.front());
+  injected_.pop_front();
+  const int dst = tx.dst;
+  const int r = rail();
+  const net::WirePacket wp{my_node_, fabric_->topology().node_of(dst), r, tx.pkt.wire_bytes()};
+  const Time egress =
+      fabric_->transmit(wp, [peers = peers_, dst, r, pkt = std::move(tx.pkt)]() mutable {
+        peers->deliver(dst, r, std::move(pkt));
+      });
+  if (tx.on_egress) eng_->schedule_checked(egress, std::move(tx.on_egress));
+}
+
+void BaseTransport::rx_wire(int /*rail*/, BasePkt&& pkt) {
+  pending_rx_.push_back(std::move(pkt));
   if (in_progress()) drain();
   // else: no background progress — handled at the next MPI call.
 }

@@ -23,7 +23,6 @@
 #include "nemesis/shm.hpp"
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "sim/engine.hpp"
 
 namespace nmx::baseline {
@@ -61,7 +60,7 @@ class BaseTransport : public mpi::Transport {
   struct Env {
     sim::Engine* eng;
     net::Fabric* fabric;
-    net::ProcRouter* router;
+    net::Endpoints<BasePkt>* peers;  ///< reaches every baseline endpoint
     nemesis::ShmNode* shm;  ///< may be null (alone on the node)
     int rank;
     int local_index;
@@ -75,6 +74,9 @@ class BaseTransport : public mpi::Transport {
   void enter_progress() override;
   void leave_progress() override;
   std::optional<mpi::Status> iprobe(int src, int tag, int context) override;
+
+  /// A packet landed (this transport's Endpoints handler; one rail).
+  void rx_wire(int rail, BasePkt&& pkt);
 
   std::size_t outstanding_requests() const { return requests_.size(); }
   std::size_t unexpected_count() const { return unexpected_.size(); }
@@ -136,15 +138,16 @@ class BaseTransport : public mpi::Transport {
   BaseRequest* match_posted(int src, int tag, int context);
   bool match_unexpected(BaseRequest* req);
   void deliver(BasePkt&& pkt);  // post-gating dispatch
-  void rx_wire(net::WirePacket&& pkt);
   void drain();
   void inject(PendingTx tx);
+  void transmit_next();
   void send_self(BaseRequest* req, const void* buf, std::size_t len);
   void send_shm(BaseRequest* req, const void* buf, std::size_t len);
   void handle_shm(nemesis::Message&& m);
 
   sim::Engine* eng_;
   net::Fabric* fabric_;
+  net::Endpoints<BasePkt>* peers_;
   nemesis::ShmNode* shm_;
   int rank_;
   int local_index_;
@@ -155,7 +158,10 @@ class BaseTransport : public mpi::Transport {
   std::list<BaseRequest*> posted_;
   std::list<UnexMsg> unexpected_;
   std::deque<BasePkt> pending_rx_;
-  std::deque<PendingTx> pending_tx_;
+  std::deque<PendingTx> pending_tx_;  ///< waiting for the progress engine
+  /// Injected, in send-side prep: prep_cpu_ grants end in injection order,
+  /// so each prep-end event transmits the front one.
+  std::deque<PendingTx> injected_;
   net::Channel prep_cpu_;
   int depth_ = 0;
 };

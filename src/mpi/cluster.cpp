@@ -1,6 +1,7 @@
 #include "mpi/cluster.hpp"
 
-#include <numeric>
+#include <algorithm>
+#include <utility>
 
 #include "baseline/mvapich.hpp"
 #include "baseline/openmpi.hpp"
@@ -19,7 +20,7 @@ std::string to_string(StackKind k) {
   return "?";
 }
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
+Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), wire_rx_(cfg.procs), base_rx_(cfg.procs) {
   NMX_ASSERT(cfg_.nodes > 0 && cfg_.procs > 0);
   NMX_ASSERT(!cfg_.rails.empty());
   cfg_.coll.apply_env();  // NMX_COLL_* overrides the programmatic selection
@@ -37,24 +38,19 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   }
   const net::Topology& t = fabric_->topology();
 
-  // Per-node infrastructure: shared-memory region (when >1 local process)
-  // and the NIC demultiplexer.
-  std::vector<int> local_count(static_cast<std::size_t>(t.num_nodes), 0);
-  for (int p = 0; p < t.num_procs(); ++p) local_count[static_cast<std::size_t>(t.node_of(p))]++;
+  // Per-node shared-memory region (when >1 local process).
   shm_nodes_.resize(static_cast<std::size_t>(t.num_nodes));
   for (int n = 0; n < t.num_nodes; ++n) {
-    if (local_count[static_cast<std::size_t>(n)] > 1) {
+    if (t.procs_on(n) > 1) {
       shm_nodes_[static_cast<std::size_t>(n)] =
-          std::make_unique<nemesis::ShmNode>(eng_, local_count[static_cast<std::size_t>(n)]);
+          std::make_unique<nemesis::ShmNode>(eng_, t.procs_on(n));
     }
-    routers_.push_back(std::make_unique<net::ProcRouter>(*fabric_, n));
   }
 
   for (int p = 0; p < t.num_procs(); ++p) {
     const int node = t.node_of(p);
     const int local = t.local_index(p);
     nemesis::ShmNode* shm = shm_nodes_[static_cast<std::size_t>(node)].get();
-    net::ProcRouter& router = *routers_[static_cast<std::size_t>(node)];
 
     switch (cfg_.stack) {
       case StackKind::Mpich2Nmad: {
@@ -64,7 +60,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         c.nmad.rdv_quantum = cfg_.rdv_quantum;
         c.nmad.advertise_rdv_load = cfg_.two_ended_rdv;
         c.nmad.rdv_retry_timeout = cfg_.rdv_retry_timeout;
-        c.nmad.beta_relearn = cfg_.beta_relearn;
         c.nmad.fault_plan = fault_plan_.get();
         c.nmad.rails.clear();
         if (auto rr = cfg_.rank_rails.find(p); rr != cfg_.rank_rails.end()) {
@@ -74,14 +69,18 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         }
         c.pioman = cfg_.pioman;
         c.bypass = cfg_.bypass;
-        transports_.push_back(
-            std::make_unique<ch3::Ch3Process>(eng_, *fabric_, router, shm, p, local, c));
+        auto proc = std::make_unique<ch3::Ch3Process>(eng_, *fabric_, wire_rx_, shm, p, local, c);
+        wire_rx_.register_proc(p, [&core = proc->core()](int rail, nmad::WireMsg&& m) {
+          core.rx_wire(rail, std::move(m));
+        });
+        transports_.push_back(std::move(proc));
         break;
       }
       case StackKind::Mvapich2: {
-        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(
-            std::make_unique<baseline::MvapichTransport>(env, cfg_.mvapich_rcache));
+        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &base_rx_, shm, p, local};
+        auto base = std::make_unique<baseline::MvapichTransport>(env, cfg_.mvapich_rcache);
+        register_baseline(*base);
+        transports_.push_back(std::move(base));
         break;
       }
       case StackKind::OpenMpiBtlIb:
@@ -91,8 +90,10 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
             cfg_.stack == StackKind::OpenMpiBtlIb   ? baseline::OmpiVariant::BtlIb
             : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
                                                     : baseline::OmpiVariant::CmMx;
-        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, variant));
+        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &base_rx_, shm, p, local};
+        auto base = std::make_unique<baseline::OmpiTransport>(env, variant);
+        register_baseline(*base);
+        transports_.push_back(std::move(base));
         break;
       }
     }
@@ -105,22 +106,34 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
 
 Cluster::~Cluster() = default;
 
+void Cluster::register_baseline(baseline::BaseTransport& base) {
+  base_rx_.register_proc(base.rank(), [&base](int rail, baseline::BasePkt&& pkt) {
+    base.rx_wire(rail, std::move(pkt));
+  });
+}
+
+void Cluster::run(std::function<void(Comm&)> body) {
+  spawn_and_run(0, [body = std::move(body)](Comm& comm, int) { body(comm); });
+}
+
 void Cluster::run_threads(int threads, std::function<void(Comm&, int thread)> body) {
   NMX_ASSERT(threads > 0);
+  spawn_and_run(threads, std::move(body));
+}
+
+void Cluster::spawn_and_run(int threads, std::function<void(Comm&, int thread)> body) {
   ++runs_;
-  // Rank actors from a previous run() are all finished; drop their records
-  // so repeated runs on one cluster pool per-rank state instead of growing
-  // the actor table (their fiber stacks were already recycled on exit).
+  // Rank actors from a previous run are all finished; drop their records so
+  // repeated runs on one cluster pool per-rank state instead of growing the
+  // actor table (their fiber stacks were already recycled on exit).
   eng_.reap_finished();
   const net::Topology& t = fabric_->topology();
+  const std::string run = ".run" + std::to_string(runs_);
   for (int p = 0; p < cfg_.procs; ++p) {
-    int locals = 0;
-    for (int q = 0; q < t.num_procs(); ++q) {
-      if (t.same_node(p, q)) ++locals;
-    }
-    for (int th = 0; th < threads; ++th) {
-      eng_.spawn("rank" + std::to_string(p) + ".t" + std::to_string(th) + ".run" +
-                     std::to_string(runs_),
+    const int locals = t.procs_on(t.node_of(p));
+    const std::string rank = "rank" + std::to_string(p);
+    for (int th = 0; th < std::max(threads, 1); ++th) {
+      eng_.spawn(threads == 0 ? rank + run : rank + ".t" + std::to_string(th) + run,
                  [this, p, th, locals, body](sim::Actor& self) {
                    Comm comm(self, *transports_[static_cast<std::size_t>(p)], eng_, p,
                              cfg_.procs, locals);
@@ -128,26 +141,6 @@ void Cluster::run_threads(int threads, std::function<void(Comm&, int thread)> bo
                    body(comm, th);
                  });
     }
-  }
-  eng_.run();
-}
-
-void Cluster::run(std::function<void(Comm&)> body) {
-  ++runs_;
-  eng_.reap_finished();  // see run_threads: pool per-rank state across runs
-  const net::Topology& t = fabric_->topology();
-  for (int p = 0; p < cfg_.procs; ++p) {
-    int locals = 0;
-    for (int q = 0; q < t.num_procs(); ++q) {
-      if (t.same_node(p, q)) ++locals;
-    }
-    eng_.spawn("rank" + std::to_string(p) + ".run" + std::to_string(runs_),
-               [this, p, locals, body](sim::Actor& self) {
-                 Comm comm(self, *transports_[static_cast<std::size_t>(p)], eng_, p, cfg_.procs,
-                           locals);
-                 comm.set_coll_config(cfg_.coll);
-                 body(comm);
-               });
   }
   eng_.run();
 }

@@ -12,11 +12,18 @@
 #include "mpi/transport.hpp"
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "nmad/types.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+
+namespace nmx::nmad {
+struct WireMsg;
+}
+namespace nmx::baseline {
+struct BasePkt;
+class BaseTransport;
+}
 
 namespace nmx::mpi {
 
@@ -73,10 +80,6 @@ struct ClusterConfig {
   /// CTS-timeout RTS retransmission (0 = off, the default — see
   /// nmad::Config::rdv_retry_timeout).
   Time rdv_retry_timeout = 0;
-  /// Feed measured egress occupancy back into the bandwidth model (silent
-  /// degradation recovery). On by default; exact-model healthy runs are
-  /// unaffected because the observed beta equals the fitted one.
-  bool beta_relearn = true;
 };
 
 class Cluster {
@@ -108,12 +111,18 @@ class Cluster {
   sim::FaultPlan* fault_plan() { return fault_plan_.get(); }
 
  private:
+  /// Register `base` as its proc's endpoint in base_rx_.
+  void register_baseline(baseline::BaseTransport& base);
+  /// One actor per rank, or `threads` per rank named ".t<th>" (0 = run()).
+  void spawn_and_run(int threads, std::function<void(Comm&, int thread)> body);
+
   ClusterConfig cfg_;
   sim::Engine eng_;
   std::unique_ptr<sim::FaultPlan> fault_plan_;  // before fabric_: outlives users
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<nemesis::ShmNode>> shm_nodes_;   // per node (may be null)
-  std::vector<std::unique_ptr<net::ProcRouter>> routers_;      // per node
+  net::Endpoints<nmad::WireMsg> wire_rx_;      // per proc (MPICH2-NMad stack)
+  net::Endpoints<baseline::BasePkt> base_rx_;  // per proc (baseline stacks)
   std::vector<std::unique_ptr<Transport>> transports_;         // per proc
   std::unique_ptr<obs::Recorder> recorder_;
   int runs_ = 0;

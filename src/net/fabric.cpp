@@ -46,19 +46,12 @@ Fabric::Nic& Fabric::nic(int node, int rail) {
   return nics_[static_cast<std::size_t>(node) * topo_.num_rails() + rail];
 }
 
-void Fabric::register_rx(int node, int rail, RxHandler h) {
-  Nic& n = nic(node, rail);
-  NMX_ASSERT_MSG(!n.rx, "rx handler already registered for this (node, rail)");
-  n.rx = std::move(h);
-}
-
-Time Fabric::transmit(WirePacket pkt) {
+Fabric::Booking Fabric::book(const WirePacket& pkt) {
   NMX_ASSERT_MSG(pkt.src_node != pkt.dst_node,
                  "network loopback: intra-node traffic must use Nemesis shm");
   const NicProfile& prof = profile(pkt.rail);
   Nic& src = nic(pkt.src_node, pkt.rail);
   Nic& dst = nic(pkt.dst_node, pkt.rail);
-  NMX_ASSERT_MSG(dst.rx != nullptr, "no rx handler at destination");
 
   Time occupancy = prof.occupancy(pkt.bytes);
   bool on_dead_rail = false;
@@ -90,8 +83,7 @@ Time Fabric::transmit(WirePacket pkt) {
     rec->metrics().counter("net.rail.tx_bytes", rail_label).add(pkt.bytes);
     if (on_dead_rail) rec->metrics().counter("net.fault.tx_on_dead_rail", rail_label).add(1);
   }
-  eng_.schedule_checked(delivery, [&dst, p = std::move(pkt)]() mutable { dst.rx(std::move(p)); });
-  return out.end;
+  return {out.end, delivery};
 }
 
 Time Fabric::egress_busy_until(int node, int rail) const {

@@ -1,13 +1,16 @@
-// The simulated network fabric: per-node NICs on each rail, FIFO occupancy
+// The simulated network fabric: per-node NICs on each rail and FIFO occupancy
 // on both the egress and ingress side (which is where NIC contention — a
-// motivating concern of the paper's introduction — emerges mechanistically),
-// and delivery of wire packets to registered receive handlers.
+// motivating concern of the paper's introduction — emerges mechanistically).
+// The fabric only times bytes: what a packet carries stays with the client,
+// whose delivery closure the fabric fires when the last byte lands and which
+// hands the message to its destination's endpoint (Endpoints below).
 #pragma once
 
-#include <any>
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -16,16 +19,13 @@
 
 namespace nmx::net {
 
-/// A packet on the wire. `payload` carries whatever the sending driver put
-/// in (header structs, aggregated packet lists); `bytes` is what the NIC
-/// actually times.
+/// What the NIC times of a packet: its route and size. The content travels
+/// in the client's delivery closure (Fabric::transmit).
 struct WirePacket {
   int src_node = -1;
   int dst_node = -1;
-  int dst_proc = -1;  ///< destination process (for per-node demultiplexing)
   int rail = -1;
   std::size_t bytes = 0;
-  std::any payload;
 };
 
 /// One direction of a NIC: a FIFO resource that transfers occupy.
@@ -50,23 +50,17 @@ class Channel {
 
 class Fabric {
  public:
-  using RxHandler = std::function<void(WirePacket&&)>;
-
   Fabric(sim::Engine& eng, Topology topo);
 
   const Topology& topology() const { return topo_; }
   const NicProfile& profile(int rail) const;
 
-  /// Register the receive handler for (node, rail). Called at delivery time
-  /// on the engine thread. Exactly one handler per (node, rail).
-  // nmx-lint: engine-context (setup or engine callbacks; never from actor bodies)
-  void register_rx(int node, int rail, RxHandler h);
-
-  /// Queue `pkt` on the source node's NIC for `pkt.rail`. The receive
-  /// handler fires when the last byte lands (wire latency + occupancy +
-  /// any queueing behind earlier transfers on either NIC). Returns the time
-  /// the sending NIC finishes reading the buffer (local/egress completion) —
-  /// drivers use it to schedule their next submission.
+  /// Queue `pkt` on the source node's NIC for `pkt.rail`. `deliver` (a
+  /// closure that fits the engine's inline event slot) fires when the last
+  /// byte lands (wire latency + occupancy + any queueing behind earlier
+  /// transfers on either NIC). Returns the time the sending NIC finishes
+  /// reading the buffer (local/egress completion) — drivers use it to
+  /// schedule their next submission.
   ///
   /// Reserves NIC occupancy *at the current virtual time*: calling this from
   /// an actor body instead of a scheduled callback would book the channel
@@ -74,7 +68,11 @@ class Fabric {
   /// load probe that reads busy_until. nmx_lint's thread-discipline pass
   /// enforces the marker below.
   // nmx-lint: engine-context
-  Time transmit(WirePacket pkt);
+  template <class Deliver> Time transmit(const WirePacket& pkt, Deliver&& deliver) {
+    const Booking b = book(pkt);
+    eng_.schedule_checked(b.delivery, std::forward<Deliver>(deliver));
+    return b.egress_done;
+  }
 
   /// Uncontended one-way transfer time on `rail` for `bytes` — what a
   /// network-sampling probe would measure on an idle machine.
@@ -117,9 +115,14 @@ class Fabric {
   struct Nic {
     Channel egress;
     Channel ingress;
-    RxHandler rx;
+  };
+  struct Booking {
+    Time egress_done;  ///< the sending NIC has read the buffer
+    Time delivery;     ///< the last byte has landed at the receiving NIC
   };
   Nic& nic(int node, int rail);
+  /// Reserve both NICs for `pkt` and count it: transmit() minus delivery.
+  Booking book(const WirePacket& pkt);
 
   sim::Engine& eng_;
   Topology topo_;
@@ -127,6 +130,39 @@ class Fabric {
   std::vector<std::string> rail_labels_;  ///< "rail=<r>" metric label per rail
   std::size_t packets_sent_ = 0;
   sim::FaultPlan* fault_plan_ = nullptr;
+};
+
+/// Per-process receive handlers for one client message type (nmad's WireMsg,
+/// the baselines' BasePkt): the last hop of a packet, from the client's
+/// delivery closure to the destination process's endpoint. One flat table
+/// indexed by proc, built by whoever builds the processes.
+template <class Msg>
+class Endpoints {
+ public:
+  /// Called with the fabric rail the message arrived on.
+  using Handler = std::function<void(int rail, Msg&&)>;
+
+  explicit Endpoints(int procs) : handlers_(static_cast<std::size_t>(std::max(procs, 0))) {}
+
+  void register_proc(int proc, Handler h) {
+    Handler& slot = at(proc);
+    NMX_ASSERT_MSG(!slot, "proc endpoint registered twice");
+    slot = std::move(h);
+  }
+
+  void deliver(int proc, int rail, Msg&& msg) {
+    Handler& h = at(proc);
+    NMX_ASSERT_MSG(h, "packet for unregistered process");
+    h(rail, std::move(msg));
+  }
+
+ private:
+  Handler& at(int proc) {
+    NMX_ASSERT(proc >= 0 && static_cast<std::size_t>(proc) < handlers_.size());
+    return handlers_[static_cast<std::size_t>(proc)];
+  }
+
+  std::vector<Handler> handlers_;
 };
 
 }  // namespace nmx::net

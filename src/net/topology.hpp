@@ -35,6 +35,7 @@ struct Topology {
   int num_nodes = 0;
   std::vector<int> proc_node;       ///< proc rank -> node index
   std::vector<int> proc_local;      ///< proc rank -> index among its node's procs
+  std::vector<int> node_procs;      ///< node -> number of procs on it
   std::vector<NicProfile> rails;    ///< rail index -> NIC model
 
   int num_procs() const { return static_cast<int>(proc_node.size()); }
@@ -49,6 +50,11 @@ struct Topology {
   int local_index(int proc) const {
     NMX_ASSERT(proc >= 0 && proc < static_cast<int>(proc_local.size()));
     return proc_local[proc];
+  }
+  /// Number of procs on `node` (its Nemesis queue count).
+  int procs_on(int node) const {
+    NMX_ASSERT(node >= 0 && node < static_cast<int>(node_procs.size()));
+    return node_procs[static_cast<std::size_t>(node)];
   }
 
   /// `procs` ranks distributed round-robin-block over `nodes` nodes
@@ -79,9 +85,11 @@ struct Topology {
 
  private:
   void number_locals() {
-    std::vector<int> next(static_cast<std::size_t>(num_nodes), 0);
+    node_procs.assign(static_cast<std::size_t>(num_nodes), 0);
     proc_local.clear();
-    for (const int node : proc_node) proc_local.push_back(next[static_cast<std::size_t>(node)]++);
+    for (const int node : proc_node) {
+      proc_local.push_back(node_procs[static_cast<std::size_t>(node)]++);
+    }
   }
 };
 

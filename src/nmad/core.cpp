@@ -36,11 +36,11 @@ constexpr Time kNicCollLoopback = 0.3e-6;
 constexpr std::uint32_t kRdvRetryLimit = 10;
 }  // namespace
 
-Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
+Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers, int my_proc,
            Config cfg)
     : eng_(eng),
       fabric_(fabric),
-      router_(router),
+      peers_(peers),
       my_proc_(my_proc),
       my_node_(fabric.topology().node_of(my_proc)),
       cfg_(cfg),
@@ -70,7 +70,6 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
     }
     return l;
   });
-  router.register_proc(my_proc_, [this](net::WirePacket&& pkt) { rx_wire(std::move(pkt)); });
   if (cfg_.fault_plan != nullptr) {
     // Rail death is reported synchronously by the local NIC at the death
     // instant (the listener fires for every core; cores not driving the rail
@@ -358,20 +357,19 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
   }
   eng_.schedule_in_checked(pre, [this, local_rail, dst, bytes, wm = std::move(wm),
                          notes = std::move(notes)]() mutable {
-    net::WirePacket pkt;
-    pkt.src_node = my_node_;
-    pkt.dst_node = fabric_.topology().node_of(dst);
-    pkt.dst_proc = dst;
-    pkt.rail = drivers_[static_cast<std::size_t>(local_rail)].fabric_rail;
-    pkt.bytes = bytes;
-    pkt.payload = std::move(wm);
-    const Time queued_from = std::max(eng_.now(), fabric_.egress_busy_until(my_node_, pkt.rail));
-    const Time egress = fabric_.transmit(std::move(pkt));
+    const int rail = drivers_[static_cast<std::size_t>(local_rail)].fabric_rail;
+    const net::WirePacket pkt{my_node_, fabric_.topology().node_of(dst), rail, bytes};
+    const Time queued_from = std::max(eng_.now(), fabric_.egress_busy_until(my_node_, rail));
+    const Time egress =
+        fabric_.transmit(pkt, [peers = &peers_, dst, rail, wm = std::move(wm)]() mutable {
+          peers->deliver(dst, rail, std::move(wm));
+        });
     // Measured NIC occupancy (egress grant minus queueing) fed back into the
     // bandwidth model: silent rail degradation surfaces as a lower implied
     // beta, and the sampling layer re-learns it from this prediction error
-    // instead of letting the stale probe poison every future split.
-    if (cfg_.beta_relearn && sampling_.observe_egress(local_rail, bytes, egress - queued_from)) {
+    // instead of letting the stale probe poison every future split. On a
+    // healthy fabric the observed beta equals the fitted one: a no-op.
+    if (sampling_.observe_egress(local_rail, bytes, egress - queued_from)) {
       if (obs::Recorder* rec = eng_.recorder()) {
         rec->metrics()
             .counter("nmad.sched.beta_relearned",
@@ -476,8 +474,7 @@ void Core::rts_retry(Request* req) {
 // receive path
 // --------------------------------------------------------------------------
 
-void Core::rx_wire(net::WirePacket&& pkt) {
-  WireMsg& m = std::any_cast<WireMsg&>(pkt.payload);
+void Core::rx_wire(int rail, WireMsg&& m) {
   // NIC-offloaded collective control is consumed by the NIC unit itself: no
   // host matching, no deliver overhead, no progress gating — that autonomy
   // is the point of the Yu et al. offload. CollCtl always travels alone
@@ -491,7 +488,7 @@ void Core::rx_wire(net::WirePacket&& pkt) {
     }
     return;
   }
-  pending_rx_.push_back(RxItem{pkt.rail, std::move(m)});
+  pending_rx_.push_back(RxItem{rail, std::move(m)});
   if (progress_allowed()) {
     drain_rx();
   } else {
@@ -1200,8 +1197,8 @@ void Core::nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t 
   }
   if (fabric_.topology().node_of(dst) == my_node_) {
     // Co-located ranks share the node's NICs: the combine step between them
-    // is NIC-internal — no wire, no egress occupancy. Delivered through the
-    // router straight into the peer's NIC unit.
+    // is NIC-internal — no wire, no egress occupancy. Delivered straight
+    // into the peer's NIC unit.
     WireMsg wm;
     wm.src_proc = my_proc_;
     wm.dst_proc = dst;
@@ -1212,16 +1209,10 @@ void Core::nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t 
     e.coll_value = value;
     e.coll_ctl = ctl;
     wm.entries.push_back(std::move(e));
-    net::WirePacket pkt;
-    pkt.src_node = my_node_;
-    pkt.dst_node = my_node_;
-    pkt.dst_proc = dst;
-    pkt.rail = drivers_[0].fabric_rail;
-    pkt.bytes = wm.wire_bytes();
-    pkt.payload = std::move(wm);
+    const int rail = drivers_[0].fabric_rail;
     eng_.schedule_in_checked(kNicCollLoopback,
-                             [this, bp = std::make_unique<net::WirePacket>(std::move(pkt))] {
-                               router_.deliver_local(std::move(*bp));
+                             [peers = &peers_, dst, rail, wm = std::move(wm)]() mutable {
+                               peers->deliver(dst, rail, std::move(wm));
                              });
     return;
   }

@@ -25,7 +25,6 @@
 
 #include "common/stable_map.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "nmad/sampling.hpp"
 #include "nmad/strategy.hpp"
 #include "nmad/types.hpp"
@@ -43,7 +42,9 @@ struct ProbeInfo {
 
 class Core {
  public:
-  Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
+  /// `peers` reaches every process's endpoint; this core sends through it
+  /// and is registered in it (rx_wire) by whoever builds the processes.
+  Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers, int my_proc,
        Config cfg);
 
   int proc() const { return my_proc_; }
@@ -80,6 +81,9 @@ class Core {
   void set_on_unexpected(std::function<void(const ProbeInfo&)> fn) {
     on_unexpected_ = std::move(fn);
   }
+
+  /// A packet landed on fabric rail `rail` (this core's Endpoints handler).
+  void rx_wire(int rail, WireMsg&& m);
 
   // --- progress control ---------------------------------------------------
 
@@ -213,7 +217,6 @@ class Core {
   /// processing cost instead of host injection + copy overheads.
   void submit(int local_rail, WireMsg wm, bool nic_direct = false);
   void on_egress(int local_rail, std::vector<Note> notes);
-  void rx_wire(net::WirePacket&& pkt);
   void drain_rx();
   void handle_wire(int fabric_rail, WireMsg m);
   /// Deliver one wire entry to its protocol handler (post fault filtering).
@@ -297,7 +300,7 @@ class Core {
 
   sim::Engine& eng_;
   net::Fabric& fabric_;
-  net::ProcRouter& router_;
+  net::Endpoints<WireMsg>& peers_;
   int my_proc_;
   int my_node_;
   Config cfg_;

@@ -124,12 +124,6 @@ struct Config {
   /// so healthy runs schedule nothing extra; chaos/faulted configurations
   /// turn it on.
   Time rdv_retry_timeout = 0;
-  /// Feed measured egress occupancy of large transfers back into the sampled
-  /// per-rail bandwidth (Sampling::observe_egress), so silent rail
-  /// degradation is re-learned from prediction error instead of poisoning
-  /// the split forever. Exact-model runs observe beta exactly, so this is a
-  /// no-op on a healthy fabric.
-  bool beta_relearn = true;
   /// Deterministic fault injection (not owned; null = healthy run). The core
   /// consults it per delivered wire entry and registers rail-down/restart
   /// listeners on it.

@@ -96,10 +96,14 @@ TEST(NmadRaw, StandaloneLatencyIs1p8us) {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
   net::Fabric fabric(eng, topo);
-  net::ProcRouter r0(fabric, 0), r1(fabric, 1);
+  net::Endpoints<nmad::WireMsg> eps(topo.num_procs());
   nmad::Config cfg;
-  nmad::Core a(eng, fabric, r0, 0, cfg);
-  nmad::Core b(eng, fabric, r1, 1, cfg);
+  nmad::Core a(eng, fabric, eps, 0, cfg);
+  nmad::Core b(eng, fabric, eps, 1, cfg);
+  for (nmad::Core* c : {&a, &b}) {
+    eps.register_proc(c->proc(),
+                      [c](int rail, nmad::WireMsg&& m) { c->rx_wire(rail, std::move(m)); });
+  }
   a.enter_progress();
   b.enter_progress();
 

@@ -1,11 +1,10 @@
 // Network substrate tests: channel reservation, uncontended transfer math,
 // NIC contention (egress and ingress serialization), topology mappings and
-// per-process routing.
+// per-process endpoint delivery.
 #include <gtest/gtest.h>
 
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 
 namespace nmx::net {
 namespace {
@@ -31,6 +30,9 @@ TEST(Topology, BlockedMappingFillsNodesInOrder) {
   EXPECT_EQ(t.node_of(6), 2);
   EXPECT_TRUE(t.same_node(0, 2));
   EXPECT_FALSE(t.same_node(2, 3));
+  EXPECT_EQ(t.procs_on(0), 3);
+  EXPECT_EQ(t.procs_on(2), 1);
+  EXPECT_EQ(t.local_index(6), 0);
 }
 
 TEST(Topology, CyclicMappingScatters) {
@@ -49,36 +51,27 @@ struct FabricFixture : ::testing::Test {
   Fabric fabric{eng, topo};
   std::vector<std::pair<Time, int>> arrivals;  // (time, src_node)
 
-  void listen(int node) {
-    fabric.register_rx(node, 0, [this](WirePacket&& p) {
-      arrivals.emplace_back(eng.now(), p.src_node);
-    });
-  }
-  WirePacket pkt(int src, int dst, std::size_t bytes) {
-    WirePacket p;
-    p.src_node = src;
-    p.dst_node = dst;
-    p.dst_proc = dst;
-    p.rail = 0;
-    p.bytes = bytes;
-    return p;
+  /// Transmit `bytes` from node `src` to node `dst`; the delivery closure
+  /// records the arrival.
+  Time send(int src, int dst, std::size_t bytes) {
+    return fabric.transmit(WirePacket{src, dst, 0, bytes},
+                           [this, src] { arrivals.emplace_back(eng.now(), src); });
   }
 };
 
 TEST_F(FabricFixture, UncontendedTransferMatchesModel) {
-  listen(1);
-  fabric.transmit(pkt(0, 1, 4096));
+  const Time egress = send(0, 1, 4096);
   eng.run();
   ASSERT_EQ(arrivals.size(), 1u);
   const NicProfile& prof = fabric.profile(0);
   EXPECT_NEAR(arrivals[0].first, prof.wire_latency + prof.occupancy(4096), 1e-12);
   EXPECT_NEAR(fabric.uncontended_time(0, 4096), arrivals[0].first, 1e-12);
+  EXPECT_NEAR(egress, fabric.uncontended_egress_time(0, 4096), 1e-12);
 }
 
 TEST_F(FabricFixture, EgressSerializesSameSender) {
-  listen(1);
-  fabric.transmit(pkt(0, 1, 1 << 20));
-  fabric.transmit(pkt(0, 1, 1 << 20));
+  send(0, 1, 1 << 20);
+  send(0, 1, 1 << 20);
   eng.run();
   ASSERT_EQ(arrivals.size(), 2u);
   const Time occupancy = fabric.profile(0).occupancy(1 << 20);
@@ -88,9 +81,8 @@ TEST_F(FabricFixture, EgressSerializesSameSender) {
 TEST_F(FabricFixture, IngressSerializesDifferentSenders) {
   // Two senders to one node: the receiving NIC is the bottleneck — this is
   // the many-processes-per-node contention of the NAS testbed.
-  listen(2);
-  fabric.transmit(pkt(0, 2, 1 << 20));
-  fabric.transmit(pkt(1, 2, 1 << 20));
+  send(0, 2, 1 << 20);
+  send(1, 2, 1 << 20);
   eng.run();
   ASSERT_EQ(arrivals.size(), 2u);
   const Time occupancy = fabric.profile(0).occupancy(1 << 20);
@@ -98,45 +90,48 @@ TEST_F(FabricFixture, IngressSerializesDifferentSenders) {
 }
 
 TEST_F(FabricFixture, DistinctPairsDoNotContend) {
-  listen(1);
-  listen(2);
-  fabric.transmit(pkt(0, 1, 1 << 20));
-  fabric.transmit(pkt(2, 1, 64));  // tiny message into the same ingress: queues
+  send(0, 1, 1 << 20);
+  send(2, 1, 64);  // tiny message into the same ingress: queues
   eng.run();
   // Both arrive; order by completion time.
   ASSERT_EQ(arrivals.size(), 2u);
 }
 
 TEST_F(FabricFixture, LoopbackIsRejected) {
-  EXPECT_THROW(fabric.transmit(pkt(1, 1, 64)), AssertionError);
+  EXPECT_THROW(send(1, 1, 64), AssertionError);
 }
 
-TEST(Router, DispatchesByDestinationProcess) {
+TEST(Endpoints, DeliverDispatchesByProcAndPassesTheRail) {
+  // Two procs on one node: the node's NIC is shared, so it is the proc, not
+  // the node, that picks the endpoint.
   sim::Engine eng;
-  Topology topo = Topology::blocked(2, 4, {ib_profile()});  // procs 0,1 | 2,3
+  Topology topo = Topology::blocked(2, 4, {ib_profile(), mx_profile()});  // procs 0,1 | 2,3
   Fabric fabric(eng, topo);
-  ProcRouter r0(fabric, 0);
-  ProcRouter r1(fabric, 1);
-  int got2 = 0, got3 = 0;
-  r1.register_proc(2, [&](WirePacket&&) { ++got2; });
-  r1.register_proc(3, [&](WirePacket&&) { ++got3; });
-  r0.register_proc(0, [](WirePacket&&) {});
-  r0.register_proc(1, [](WirePacket&&) {});
+  Endpoints<int> eps(topo.num_procs());
+  std::vector<std::pair<int, int>> got2, got3;  // (rail, msg)
+  eps.register_proc(2, [&](int rail, int&& m) { got2.emplace_back(rail, m); });
+  eps.register_proc(3, [&](int rail, int&& m) { got3.emplace_back(rail, m); });
 
-  WirePacket p;
-  p.src_node = 0;
-  p.dst_node = 1;
-  p.rail = 0;
-  p.bytes = 64;
-  p.dst_proc = 2;
-  fabric.transmit(p);
-  p.dst_proc = 3;
-  fabric.transmit(p);
-  p.dst_proc = 3;
-  fabric.transmit(std::move(p));
+  auto send = [&](int proc, int rail, int msg) {
+    fabric.transmit(WirePacket{0, topo.node_of(proc), rail, 64},
+                    [&eps, proc, rail, msg]() mutable { eps.deliver(proc, rail, std::move(msg)); });
+  };
+  send(2, 0, 20);
+  send(3, 1, 31);
+  send(3, 0, 30);
   eng.run();
-  EXPECT_EQ(got2, 1);
-  EXPECT_EQ(got3, 2);
+  EXPECT_EQ(got2, (std::vector<std::pair<int, int>>{{0, 20}}));
+  // IB (rail 0) beats MX (rail 1): the later rail-0 send lands first.
+  EXPECT_EQ(got3, (std::vector<std::pair<int, int>>{{0, 30}, {1, 31}}));
+}
+
+TEST(Endpoints, DoubleRegistrationAndUnregisteredDeliveryAssert) {
+  Endpoints<int> eps(2);
+  eps.register_proc(0, [](int, int&&) {});
+  EXPECT_THROW(eps.register_proc(0, [](int, int&&) {}), AssertionError);
+  EXPECT_THROW(eps.deliver(1, 0, 7), AssertionError);  // in range, nobody registered
+  EXPECT_THROW(eps.deliver(2, 0, 7), AssertionError);  // no such proc
+  EXPECT_NO_THROW(eps.deliver(0, 0, 7));
 }
 
 TEST(Profiles, PaperCalibration) {

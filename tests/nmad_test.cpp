@@ -5,19 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <numeric>
 #include <set>
 
-#include "net/router.hpp"
 #include "nmad/core.hpp"
 #include "sim/fault.hpp"
 
 namespace nmx::nmad {
 namespace {
+
+/// Register `core` as its proc's endpoint in `eps` (as mpi::Cluster does).
+void attach(net::Endpoints<WireMsg>& eps, Core& core) {
+  eps.register_proc(core.proc(),
+                    [&core](int rail, WireMsg&& m) { core.rx_wire(rail, std::move(m)); });
+}
 
 // ---------------------------------------------------------------------------
 // Sampling
@@ -264,8 +268,7 @@ struct CoreFixture : ::testing::Test {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
   net::Fabric fabric{eng, topo};
-  net::ProcRouter router0{fabric, 0};
-  net::ProcRouter router1{fabric, 1};
+  net::Endpoints<WireMsg> eps{topo.num_procs()};
   Config cfg;
 
   std::unique_ptr<Core> a;  // proc 0
@@ -274,8 +277,10 @@ struct CoreFixture : ::testing::Test {
   void make_cores(StrategyKind strat = StrategyKind::Aggreg, std::vector<int> rails = {0}) {
     cfg.strategy = strat;
     cfg.rails = std::move(rails);
-    a = std::make_unique<Core>(eng, fabric, router0, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, router1, 1, cfg);
+    a = std::make_unique<Core>(eng, fabric, eps, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, eps, 1, cfg);
+    attach(eps, *a);
+    attach(eps, *b);
     // Always-in-progress processes (the MPI layer provides the bracketing).
     a->enter_progress();
     b->enter_progress();
@@ -372,12 +377,14 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
     sim::Engine eng;
     net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
     net::Fabric fabric(eng, topo);
-    net::ProcRouter r0(fabric, 0), r1(fabric, 1);
+    net::Endpoints<WireMsg> eps(topo.num_procs());
     Config cfg;
     cfg.strategy = k;
     cfg.rails = {0, 1};
-    Core a(eng, fabric, r0, 0, cfg);
-    Core b(eng, fabric, r1, 1, cfg);
+    Core a(eng, fabric, eps, 0, cfg);
+    Core b(eng, fabric, eps, 1, cfg);
+    attach(eps, a);
+    attach(eps, b);
     a.enter_progress();
     b.enter_progress();
     const std::size_t big = 4_MiB;
@@ -414,13 +421,7 @@ struct ZeroCopyFixture : ::testing::Test {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
   net::Fabric fabric{eng, topo};
-  net::ProcRouter router0{fabric, 0};
-  net::ProcRouter router1{fabric, 1};
-  // The receiving core registers with `inner`; the tap in `router1` records
-  // each chunk before handing the packet on. `inner` hangs off a fabric
-  // nothing transmits on, so only the tap feeds it.
-  net::Fabric tap_fabric{eng, topo};
-  net::ProcRouter inner{tap_fabric, 1};
+  net::Endpoints<WireMsg> eps{topo.num_procs()};
   std::vector<Landed> landed;
   std::vector<std::vector<std::byte>> sent;
   std::vector<std::uint64_t> rdv_ids;  ///< per message, from its send request
@@ -436,15 +437,18 @@ struct ZeroCopyFixture : ::testing::Test {
     cfg.strategy = kind;
     cfg.rails = {0, 1};
     cfg.fault_plan = &plan;
-    Core a(eng, fabric, router0, 0, cfg);
-    Core b(eng, fabric, inner, 1, cfg);
-    router1.register_proc(1, [this](net::WirePacket&& pkt) {
-      for (const Entry& e : std::any_cast<WireMsg&>(pkt.payload).entries) {
+    Core a(eng, fabric, eps, 0, cfg);
+    Core b(eng, fabric, eps, 1, cfg);
+    attach(eps, a);
+    // The receiver's endpoint is a tap: it records each chunk, then hands the
+    // packet to the core.
+    eps.register_proc(1, [this, &b](int rail, WireMsg&& m) {
+      for (const Entry& e : m.entries) {
         if (e.kind == Entry::Kind::RdvChunk) {
-          landed.push_back({e.rdv_id, e.offset, e.bytes.data(), e.bytes.size(), pkt.rail});
+          landed.push_back({e.rdv_id, e.offset, e.bytes.data(), e.bytes.size(), rail});
         }
       }
-      inner.deliver_local(std::move(pkt));
+      b.rx_wire(rail, std::move(m));
     });
     plan.arm(eng);
     a.enter_progress();
@@ -505,10 +509,10 @@ TEST_F(ZeroCopyFixture, RailDownResplitChunksViewTheSenderBuffer) {
   // chunk, still queued, is displaced and re-split onto rail 0.
   run(StrategyKind::SplitBalance, /*rail1_down_at=*/1e-3);
   expect_chunks_view_the_send_buffers();
-  const bool resplit = std::any_of(landed.begin(), landed.end(), [](const Landed& c) {
+  const auto resplit = std::find_if(landed.begin(), landed.end(), [](const Landed& c) {
     return c.fabric_rail == 0 && c.offset > 0;
   });
-  EXPECT_TRUE(resplit) << "no rail-1 share was re-split onto rail 0";
+  EXPECT_NE(resplit, landed.end()) << "no rail-1 share was re-split onto rail 0";
 }
 
 TEST_F(CoreFixture, PerTagFifoMatchingOrder) {
@@ -686,9 +690,7 @@ struct ThreeCoreFixture : ::testing::Test {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
   net::Fabric fabric{eng, topo};
-  net::ProcRouter router0{fabric, 0};
-  net::ProcRouter router1{fabric, 1};
-  net::ProcRouter router2{fabric, 2};
+  net::Endpoints<WireMsg> eps{topo.num_procs()};
   Config cfg;
   std::unique_ptr<Core> a;  // proc 0
   std::unique_ptr<Core> b;  // proc 1
@@ -696,9 +698,12 @@ struct ThreeCoreFixture : ::testing::Test {
 
   void make_cores() {
     cfg.rails = {0};
-    a = std::make_unique<Core>(eng, fabric, router0, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, router1, 1, cfg);
-    c = std::make_unique<Core>(eng, fabric, router2, 2, cfg);
+    a = std::make_unique<Core>(eng, fabric, eps, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, eps, 1, cfg);
+    c = std::make_unique<Core>(eng, fabric, eps, 2, cfg);
+    attach(eps, *a);
+    attach(eps, *b);
+    attach(eps, *c);
     a->enter_progress();
     b->enter_progress();
     c->enter_progress();
@@ -871,14 +876,9 @@ struct RdvHardeningFixture : ThreeCoreFixture {
     cts.dst_proc = 0;
     cts.rdv_id = rdv_id;
     wm.entries.push_back(std::move(cts));
-    net::WirePacket pkt;
-    pkt.src_node = topo.node_of(src_proc);
-    pkt.dst_node = topo.node_of(0);
-    pkt.dst_proc = 0;
-    pkt.rail = 0;
-    pkt.bytes = wm.wire_bytes();
-    pkt.payload = std::move(wm);
-    fabric.transmit(std::move(pkt));
+    const net::WirePacket pkt{topo.node_of(src_proc), topo.node_of(0), 0, wm.wire_bytes()};
+    fabric.transmit(pkt,
+                    [this, wm = std::move(wm)]() mutable { eps.deliver(0, 0, std::move(wm)); });
   }
 
   std::string run_expecting_assert() {

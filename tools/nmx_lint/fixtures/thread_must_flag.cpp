@@ -15,7 +15,7 @@ struct Packet {
 struct Fabric {
   /// Books NIC occupancy at the current virtual time.
   // nmx-lint: engine-context
-  double transmit(Packet) { return 0.0; }
+  template <class Deliver> double transmit(const Packet&, Deliver&&) { return 0.0; }
 };
 
 struct Actor {
@@ -37,7 +37,7 @@ struct Engine {
 /// driver's software pre-cost has elapsed, bypassing the event queue.
 inline void actor_touches_nic(Engine& eng, Fabric& fab) {
   eng.spawn("sender", [&fab](Actor&) {
-    fab.transmit(Packet{});  // EXPECT: thread-discipline
+    fab.transmit(Packet{}, [] {});  // EXPECT: thread-discipline
   });
 }
 

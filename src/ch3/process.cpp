@@ -41,15 +41,15 @@ nmad::Tag legacy_data_tag(std::uint64_t rdv_id) {
 }  // namespace
 
 Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric,
-                       net::Endpoints<nmad::WireMsg>& peers, nemesis::ShmNode* shm, int rank,
-                       int local_index, Config cfg)
+                       net::Endpoints<nmad::WireMsg>& peers, nmad::WirePool& pool,
+                       nemesis::ShmNode* shm, int rank, int local_index, Config cfg)
     : eng_(eng), fabric_(fabric), shm_(shm), rank_(rank), local_index_(local_index), cfg_(cfg) {
   cfg_.nmad.pioman_sync = cfg_.pioman;
   // §4.1.1: the CH3/netmod glue adds ~300 ns on top of NewMadeleine's own
   // generic-layer cost (1.8µs -> 2.1µs one-way).
   cfg_.nmad.sw_send += calib::kCh3SwSend;
   cfg_.nmad.sw_recv += calib::kCh3SwRecv;
-  core_ = std::make_unique<nmad::Core>(eng, fabric, peers, rank, cfg_.nmad);
+  core_ = std::make_unique<nmad::Core>(eng, fabric, peers, pool, rank, cfg_.nmad);
   core_->set_on_complete([this](nmad::Request& r) { run_nmad_completion(r); });
   core_->set_on_unexpected([this](const nmad::ProbeInfo& info) {
     if (cfg_.bypass) {
@@ -60,28 +60,6 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric,
       legacy_fetch_ctl(info);
     }
   });
-
-  // §3.1.2: virtual connections with per-destination overridable send paths.
-  const net::Topology& topo = fabric.topology();
-  vcs_.resize(static_cast<std::size_t>(topo.num_procs()));
-  for (int p = 0; p < topo.num_procs(); ++p) {
-    VirtualConnection& vc = vcs_[static_cast<std::size_t>(p)];
-    vc.peer = p;
-    vc.same_node = topo.same_node(rank_, p);
-    if (p == rank_) {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_self(r, b, l); };
-    } else if (vc.same_node) {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_shm(r, b, l); };
-    } else if (cfg_.bypass) {
-      // The paper's modification: MPID_Send on a remote VC goes straight to
-      // nm_sr_isend, skipping Nemesis and the CH3 protocols.
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) {
-        send_nmad_direct(r, b, l);
-      };
-    } else {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_legacy(r, b, l); };
-    }
-  }
 
   if (shm_) {
     shm_->set_deliver(local_index_,
@@ -128,16 +106,19 @@ Ch3Process::~Ch3Process() = default;
 // ---------------------------------------------------------------------------
 
 MpidRequest* Ch3Process::new_request(MpidRequest::Kind kind) {
-  requests_.emplace_back();
-  auto it = std::prev(requests_.end());
+  auto it = requests_.acquire();
+  // A recycled request keeps the capacity of its waiter list.
+  std::vector<sim::Actor*> waiters = std::move(it->waiters);
+  waiters.clear();
+  *it = MpidRequest{};
+  it->waiters = std::move(waiters);
   it->self = it;
   it->kind = kind;
   return &*it;
 }
 
 Ch3Process::NmCtx* Ch3Process::new_ctx(std::function<void(nmad::Request&)> fn) {
-  nm_ctxs_.emplace_back();
-  auto it = std::prev(nm_ctxs_.end());
+  auto it = nm_ctxs_.acquire();
   it->self = it;
   it->fn = std::move(fn);
   return &*it;
@@ -147,7 +128,7 @@ void Ch3Process::run_nmad_completion(nmad::Request& r) {
   auto* ctx = static_cast<NmCtx*>(r.user_ctx);
   NMX_ASSERT_MSG(ctx != nullptr, "nmad request without completion context");
   auto fn = std::move(ctx->fn);
-  nm_ctxs_.erase(ctx->self);
+  nm_ctxs_.release(ctx->self);
   fn(r);
 }
 
@@ -221,14 +202,13 @@ MpidRequest* Ch3Process::match_posted(int src, int tag, int context) {
 }
 
 void Ch3Process::push_posted(MpidRequest* req) {
-  posted_queue_.push_back(req);
-  req->posted_it = std::prev(posted_queue_.end());
+  req->posted_it = push_back_recycled(posted_queue_, spare_posted_, req);
   req->in_posted_queue = true;
 }
 
 void Ch3Process::remove_posted(MpidRequest* req) {
   if (!req->in_posted_queue) return;
-  posted_queue_.erase(req->posted_it);
+  recycle(posted_queue_, req->posted_it, spare_posted_);
   req->in_posted_queue = false;
 }
 
@@ -238,7 +218,7 @@ bool Ch3Process::match_unexpected(MpidRequest* req) {
     if (req->peer != mpi::ANY_SOURCE && req->peer != it->hdr.src_rank) continue;
     if (req->tag != mpi::ANY_TAG && req->tag != it->hdr.tag) continue;
     UnexMsg msg = std::move(*it);
-    unexpected_.erase(it);
+    recycle(unexpected_, it, spare_unexpected_);
     if (obs::Recorder* rec = eng_.recorder()) {
       rec->metrics().gauge("ch3.unexpected.depth").set(static_cast<double>(unexpected_.size()));
     }
@@ -257,7 +237,7 @@ void Ch3Process::deliver_local(UnexMsg msg) {
           .gauge("ch3.unexpected.depth")
           .set(static_cast<double>(unexpected_.size() + 1));
     }
-    unexpected_.push_back(std::move(msg));
+    push_back_recycled(unexpected_, spare_unexpected_, std::move(msg));
     return;
   }
   remove_posted(req);
@@ -284,7 +264,7 @@ void Ch3Process::satisfy(MpidRequest* req, UnexMsg&& msg) {
   cts.tag = hdr.tag;
   cts.context = hdr.context;
   cts.rdv_id = hdr.rdv_id;
-  if (vcs_[static_cast<std::size_t>(hdr.src_rank)].same_node) {
+  if (same_node(hdr.src_rank)) {
     shm_rdv_in_.emplace(std::make_pair(hdr.src_rank, hdr.rdv_id), req);
     shm_->send(local_of(hdr.src_rank), nemesis::Message{local_index_, cts, {}});
     return;
@@ -306,7 +286,7 @@ void Ch3Process::satisfy(MpidRequest* req, UnexMsg&& msg) {
 
 mpi::TxRequest* Ch3Process::isend(int dst, int tag, int context, const void* buf,
                                   std::size_t len) {
-  NMX_ASSERT(dst >= 0 && dst < static_cast<int>(vcs_.size()));
+  NMX_ASSERT(dst >= 0 && dst < fabric_.topology().num_procs());
   NMX_ASSERT(tag >= 0 && context >= 0 && context < kLegacyCtlContext);
   MpidRequest* req = new_request(MpidRequest::Kind::Send);
   req->peer = dst;
@@ -316,7 +296,20 @@ mpi::TxRequest* Ch3Process::isend(int dst, int tag, int context, const void* buf
   if (obs::Recorder* rec = eng_.recorder()) {
     req->span = rec->begin(eng_.now(), rank_, obs::Cat::MsgSend, len, dst);
   }
-  vcs_[static_cast<std::size_t>(dst)].isend_fn(req, buf, len);
+  // §3.1.2: MPICH2 gives each virtual connection an overridable send
+  // function. Nothing overrides one after setup, so the choice is the
+  // topology's: loopback, Nemesis shared memory, or — the paper's
+  // modification — straight to nm_sr_isend for a remote peer, unless the
+  // bypass is off and the stock netmod cells carry it.
+  if (dst == rank_) {
+    send_self(req, buf, len);
+  } else if (same_node(dst)) {
+    send_shm(req, buf, len);
+  } else if (cfg_.bypass) {
+    send_nmad_direct(req, buf, len);
+  } else {
+    send_legacy(req, buf, len);
+  }
   return req;
 }
 
@@ -341,8 +334,7 @@ mpi::TxRequest* Ch3Process::irecv(int src, int tag, int context, void* buf, std:
     return req;
   }
 
-  const bool ch3_matched =
-      (src == rank_) || vcs_[static_cast<std::size_t>(src)].same_node || !cfg_.bypass;
+  const bool ch3_matched = src == rank_ || same_node(src) || !cfg_.bypass;
   if (ch3_matched) {
     if (match_unexpected(req)) return req;
     push_posted(req);
@@ -430,7 +422,7 @@ void Ch3Process::release(mpi::TxRequest* r) {
     NMX_ASSERT(req->nmad_req->completed);
     core_->release(req->nmad_req);
   }
-  requests_.erase(req->self);
+  requests_.release(req->self);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,19 +534,19 @@ void Ch3Process::handle_shm_message(nemesis::Message&& m) {
 }
 
 void Ch3Process::process_packet(const ShmHdr& hdr, std::vector<std::byte> payload) {
-  const bool same_node = vcs_[static_cast<std::size_t>(hdr.src_rank)].same_node;
+  const bool local = same_node(hdr.src_rank);
   switch (hdr.kind) {
     case ShmHdr::Kind::Eager:
     case ShmHdr::Kind::Rts:
       deliver_local(UnexMsg{hdr, std::move(payload)});
       break;
     case ShmHdr::Kind::Cts: {
-      auto& outs = same_node ? shm_rdv_out_ : net_rdv_out_;
+      auto& outs = local ? shm_rdv_out_ : net_rdv_out_;
       auto it = outs.find(hdr.rdv_id);
       NMX_ASSERT_MSG(it != outs.end(), "CTS for unknown rendezvous");
       const RdvOut out = it->second;
       outs.erase(it);
-      if (same_node) {
+      if (local) {
         ShmHdr data = header_for(out.req, ShmHdr::Kind::Data);
         data.rdv_id = hdr.rdv_id;
         shm_->send(local_of(out.req->peer),

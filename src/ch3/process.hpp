@@ -4,10 +4,11 @@
 //
 // Two operating modes:
 //
-//  * bypass = true  — the paper's contribution (§3.1): per-VC function
-//    pointers route remote sends straight to nm_sr_isend, remote receives are
-//    posted to NewMadeleine's own matching, and MPI_ANY_SOURCE is handled by
-//    the management lists of Figure 3. One handshake per rendezvous.
+//  * bypass = true  — the paper's contribution (§3.1): remote sends go
+//    straight to nm_sr_isend (§3.1.2's per-VC send function is a topology
+//    branch in isend), remote receives are posted to NewMadeleine's own
+//    matching, and MPI_ANY_SOURCE is handled by the management lists of
+//    Figure 3. One handshake per rendezvous.
 //
 //  * bypass = false — the stock Nemesis network-module path (§2.1.3): every
 //    CH3 packet is copied through fixed-size netmod cells, CH3 runs its own
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "ch3/anysource.hpp"
+#include "common/node_pool.hpp"
 #include "ch3/packet.hpp"
 #include "ch3/request.hpp"
 #include "mpi/transport.hpp"
@@ -55,7 +57,8 @@ class Ch3Process final : public mpi::Transport {
 
   /// `shm` may be null when the process is alone on its node.
   Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<nmad::WireMsg>& peers,
-             nemesis::ShmNode* shm, int rank, int local_index, Config cfg);
+             nmad::WirePool& pool, nemesis::ShmNode* shm, int rank, int local_index,
+             Config cfg);
   ~Ch3Process() override;
 
   // --- mpi::Transport -----------------------------------------------------
@@ -83,13 +86,6 @@ class Ch3Process final : public mpi::Transport {
   std::size_t unexpected_count() const { return unexpected_.size(); }
 
  private:
-  // §3.1.2: per-connection virtual connection with overridable send path.
-  struct VirtualConnection {
-    int peer = -1;
-    bool same_node = false;
-    std::function<void(MpidRequest*, const void*, std::size_t)> isend_fn;
-  };
-
   /// An arrived eager message (header + payload) or RTS (header only) that
   /// CH3 matches itself.
   struct UnexMsg {
@@ -161,6 +157,7 @@ class Ch3Process final : public mpi::Transport {
 
   bool in_progress() const { return depth_ > 0; }
   int local_of(int rank) const { return fabric_.topology().local_index(rank); }
+  bool same_node(int rank) const { return fabric_.topology().same_node(rank_, rank); }
 
   sim::Engine& eng_;
   net::Fabric& fabric_;
@@ -170,14 +167,16 @@ class Ch3Process final : public mpi::Transport {
   Config cfg_;
   std::unique_ptr<nmad::Core> core_;
   std::unique_ptr<pioman::Manager> pioman_;
-  std::vector<VirtualConnection> vcs_;
 
-  std::list<MpidRequest> requests_;
-  std::list<NmCtx> nm_ctxs_;
+  // Per-message objects: released nodes are kept and reused.
+  NodePool<MpidRequest> requests_;
+  NodePool<NmCtx> nm_ctxs_;
 
   // ADI3 queue pair (§3.1.1) for traffic CH3 itself matches.
   std::list<MpidRequest*> posted_queue_;
   std::list<UnexMsg> unexpected_;
+  std::list<MpidRequest*> spare_posted_;
+  std::list<UnexMsg> spare_unexpected_;
 
   AnySourceLists as_lists_;
 

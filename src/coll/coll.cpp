@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
 
 #include "common/assert.hpp"
 #include "mpi/comm.hpp"
@@ -35,6 +36,21 @@ constexpr int kTagA2aXor = 9560;
 constexpr int kTagA2aWin = 9580;       // + (round & 15)
 
 const char* const kOpName[] = {"barrier", "bcast", "allreduce", "alltoall"};
+
+/// Uninitialised receive scratch of `n` bytes: inline up to 1 KiB (a CG row
+/// segment, a scalar), else one heap block. It lives on the calling actor's
+/// stack, because two actors of one rank may be inside collectives at once.
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n) {
+    if (n > sizeof small_) big_ = std::make_unique_for_overwrite<std::byte[]>(n);
+  }
+  std::byte* data() { return big_ ? big_.get() : small_; }
+
+ private:
+  alignas(std::max_align_t) std::byte small_[1024];
+  std::unique_ptr<std::byte[]> big_;
+};
 
 }  // namespace
 
@@ -127,22 +143,21 @@ void Engine::phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes) {
   c.span_end(obs::Cat::Coll, sp, bytes);
 }
 
-int Engine::tree_edges(int vr, int size, int arity, std::vector<int>* children) {
-  children->clear();
+Engine::TreeEdges Engine::tree_edges(int vr, int size, int arity) {
+  TreeEdges e{-1, 0, vr, arity};
   if (arity <= 0) {
-    // Binomial: parent clears vr's lowest set bit; children ascend from +1.
+    // Binomial: parent clears vr's lowest set bit; children are vr + 2^i.
     int lowbit = vr == 0 ? 1 : (vr & -vr);
     if (vr == 0) {
       while (lowbit < size) lowbit <<= 1;
     }
-    for (int m = 1; m < lowbit && vr + m < size; m <<= 1) children->push_back(vr + m);
-    return vr == 0 ? -1 : vr - lowbit;
+    for (int m = 1; m < lowbit && vr + m < size; m <<= 1) ++e.children;
+    if (vr != 0) e.parent = vr - lowbit;
+    return e;
   }
-  for (int j = 1; j <= arity; ++j) {
-    const int kid = vr * arity + j;
-    if (kid < size) children->push_back(kid);
-  }
-  return vr == 0 ? -1 : (vr - 1) / arity;
+  e.children = std::clamp(size - (vr * arity + 1), 0, arity);
+  if (vr != 0) e.parent = (vr - 1) / arity;
+  return e;
 }
 
 bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op, int root) {
@@ -152,12 +167,13 @@ bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op, int root) {
   const std::uint64_t id =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx(c))) << 32) | c.next_coll_id_++;
   const int vr = (c.rank_ - root + c.size_) % c.size_;
-  std::vector<int> kids;
-  const int parent = tree_edges(vr, c.size_, 0, &kids);
+  const TreeEdges t = tree_edges(vr, c.size_, 0);
   std::vector<int> world_kids;
-  world_kids.reserve(kids.size());
-  for (const int k : kids) world_kids.push_back(c.global((k + root) % c.size_));
-  const int world_parent = parent >= 0 ? c.global((parent + root) % c.size_) : -1;
+  world_kids.reserve(static_cast<std::size_t>(t.children));
+  for (int i = 0; i < t.children; ++i) {
+    world_kids.push_back(c.global((t.child(i) + root) % c.size_));
+  }
+  const int world_parent = t.parent >= 0 ? c.global((t.parent + root) % c.size_) : -1;
   mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids, op, value);
   if (r == nullptr) return false;  // no NIC unit on this stack: host fallback
   wait(c, r);
@@ -196,14 +212,13 @@ void Engine::barrier_dissemination(mpi::Comm& c) {
 }
 
 void Engine::barrier_tree(mpi::Comm& c, int arity) {
-  std::vector<int> kids;
-  const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
-  for (const int k : kids) recv(c, nullptr, 0, k, kTagBarrierUp);
-  if (parent >= 0) {
-    send(c, nullptr, 0, parent, kTagBarrierUp);
-    recv(c, nullptr, 0, parent, kTagBarrierDown);
+  const TreeEdges t = tree_edges(c.rank_, c.size_, arity);
+  for (int i = 0; i < t.children; ++i) recv(c, nullptr, 0, t.child(i), kTagBarrierUp);
+  if (t.parent >= 0) {
+    send(c, nullptr, 0, t.parent, kTagBarrierUp);
+    recv(c, nullptr, 0, t.parent, kTagBarrierDown);
   }
-  for (const int k : kids) send(c, nullptr, 0, k, kTagBarrierDown);
+  for (int i = 0; i < t.children; ++i) send(c, nullptr, 0, t.child(i), kTagBarrierDown);
 }
 
 void Engine::barrier_ring(mpi::Comm& c) {
@@ -257,14 +272,11 @@ void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root, const Con
 
 void Engine::bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity) {
   const int vr = (c.rank_ - root + c.size_) % c.size_;
-  std::vector<int> kids;
-  const int parent = tree_edges(vr, c.size_, arity, &kids);
-  if (parent >= 0) recv(c, buf, len, (parent + root) % c.size_, kTagBcast);
+  const TreeEdges t = tree_edges(vr, c.size_, arity);
+  if (t.parent >= 0) recv(c, buf, len, (t.parent + root) % c.size_, kTagBcast);
   // Largest subtree first (binomial kids ascend, so iterate in reverse): the
   // deep branches start flowing before the leaves.
-  for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-    send(c, buf, len, (*it + root) % c.size_, kTagBcast);
-  }
+  for (int i = t.children; i-- > 0;) send(c, buf, len, (t.child(i) + root) % c.size_, kTagBcast);
 }
 
 void Engine::bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root, std::size_t chunk) {
@@ -380,14 +392,16 @@ void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t c
 
 void Engine::reduce_tree(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
                          const ReduceFn& fold, int arity) {
-  std::vector<int> kids;
-  const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
-  std::vector<std::byte> tmp(elem * count);
-  for (const int k : kids) {
-    recv(c, tmp.data(), tmp.size(), k, kTagReduce);
-    fold(data, tmp.data(), count);
+  const TreeEdges t = tree_edges(c.rank_, c.size_, arity);
+  const std::size_t bytes = elem * count;
+  if (t.children > 0) {
+    Scratch tmp(bytes);
+    for (int i = 0; i < t.children; ++i) {
+      recv(c, tmp.data(), bytes, t.child(i), kTagReduce);
+      fold(data, tmp.data(), count);
+    }
   }
-  if (parent >= 0) send(c, data, elem * count, parent, kTagReduce);
+  if (t.parent >= 0) send(c, data, bytes, t.parent, kTagReduce);
 }
 
 void Engine::allreduce_rd_impl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
@@ -396,7 +410,7 @@ void Engine::allreduce_rd_impl(mpi::Comm& c, void* data, std::size_t elem, std::
   // contribute to a partner, sit out the doubling, and get the result after.
   const std::size_t bytes = elem * count;
   auto* acc = static_cast<std::byte*>(data);
-  std::vector<std::byte> tmp(bytes);
+  Scratch tmp(bytes);
 
   int pof2 = 1;
   while (pof2 * 2 <= c.size_) pof2 *= 2;

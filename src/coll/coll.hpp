@@ -113,9 +113,18 @@ class Engine {
   static std::uint64_t phase_begin(mpi::Comm& c, int op_id, Algo algo, std::size_t bytes);
   static void phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes);
 
-  /// Binomial (arity == 0) or k-ary parent/children of `vr` in a tree rooted
-  /// at virtual rank 0; children ascending.
-  static int tree_edges(int vr, int size, int arity, std::vector<int>* children);
+  /// Binomial (arity <= 0) or k-ary parent and children of virtual rank
+  /// `vr` in a tree rooted at virtual rank 0. The children are computed, not
+  /// stored, so a tree step allocates nothing.
+  struct TreeEdges {
+    int parent;    ///< -1 at the root
+    int children;  ///< number of children
+    int vr;
+    int arity;
+    /// The i-th child (0 <= i < children), ascending in i.
+    int child(int i) const { return arity <= 0 ? vr + (1 << i) : vr * arity + 1 + i; }
+  };
+  static TreeEdges tree_edges(int vr, int size, int arity);
 
   /// NIC combine tree rooted at `root`: returns false when the transport has
   /// no NIC unit (caller falls back to a host tree).

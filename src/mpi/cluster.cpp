@@ -69,7 +69,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), wire_rx_(cfg.procs), base_rx_(c
         }
         c.pioman = cfg_.pioman;
         c.bypass = cfg_.bypass;
-        auto proc = std::make_unique<ch3::Ch3Process>(eng_, *fabric_, wire_rx_, shm, p, local, c);
+        auto proc = std::make_unique<ch3::Ch3Process>(eng_, *fabric_, wire_rx_, wire_pool_, shm,
+                                                        p, local, c);
         wire_rx_.register_proc(p, [&core = proc->core()](int rail, nmad::WireMsg&& m) {
           core.rx_wire(rail, std::move(m));
         });

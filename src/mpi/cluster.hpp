@@ -13,13 +13,11 @@
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
 #include "nmad/types.hpp"
+#include "nmad/wire.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 
-namespace nmx::nmad {
-struct WireMsg;
-}
 namespace nmx::baseline {
 struct BasePkt;
 class BaseTransport;
@@ -122,6 +120,7 @@ class Cluster {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<nemesis::ShmNode>> shm_nodes_;   // per node (may be null)
   net::Endpoints<nmad::WireMsg> wire_rx_;      // per proc (MPICH2-NMad stack)
+  nmad::WirePool wire_pool_;                   // packet entry storage, all cores
   net::Endpoints<baseline::BasePkt> base_rx_;  // per proc (baseline stacks)
   std::vector<std::unique_ptr<Transport>> transports_;         // per proc
   std::unique_ptr<obs::Recorder> recorder_;

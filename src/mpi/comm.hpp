@@ -40,10 +40,7 @@ class Comm {
  public:
   Comm(sim::Actor& actor, Transport& tx, sim::Engine& eng, int rank, int size,
        int local_ranks = 1)
-      : actor_(actor), tx_(tx), eng_(eng), rank_(rank), size_(size), local_ranks_(local_ranks) {
-    group_.resize(static_cast<std::size_t>(size));
-    for (int p = 0; p < size; ++p) group_[static_cast<std::size_t>(p)] = p;
-  }
+      : actor_(actor), tx_(tx), eng_(eng), rank_(rank), size_(size), local_ranks_(local_ranks) {}
 
   int rank() const { return rank_; }
   int size() const { return size_; }
@@ -302,7 +299,7 @@ class Comm {
   /// local rank in this communicator -> transport (world) rank
   int global(int local) const {
     NMX_ASSERT_MSG(local >= 0 && local < size_, "peer rank outside this communicator");
-    return group_[static_cast<std::size_t>(local)];
+    return group_.empty() ? local : group_[static_cast<std::size_t>(local)];
   }
   int global_or_any(int local) const { return local == ANY_SOURCE ? ANY_SOURCE : global(local); }
   /// world rank in a status -> local rank in this communicator
@@ -310,9 +307,14 @@ class Comm {
     if (st.source >= 0) st.source = local_of(st.source);
     return st;
   }
-  /// Binary search: group_ itself when it is sorted by world rank (the world
-  /// communicator, key-ordered splits), else the (world, local) index.
+  /// Identity for the world communicator; else a binary search: group_
+  /// itself when it is sorted by world rank (key-ordered splits), else the
+  /// (world, local) index.
   int local_of(int world) const {
+    if (group_.empty()) {
+      NMX_ASSERT_MSG(world >= 0 && world < size_, "status source outside this communicator");
+      return world;
+    }
     if (by_world_.empty()) {
       const auto it = std::lower_bound(group_.begin(), group_.end(), world);
       NMX_ASSERT_MSG(it != group_.end() && *it == world, "status source outside this communicator");
@@ -354,7 +356,9 @@ class Comm {
   int rank_;
   int size_;
   int local_ranks_;
-  std::vector<int> group_;  ///< local rank -> world rank
+  /// local rank -> world rank; empty for the world communicator (identity),
+  /// so a rank holds no per-peer table unless it splits.
+  std::vector<int> group_;
   /// (world, local) sorted by world rank; empty when group_ is sorted.
   std::vector<std::pair<int, int>> by_world_;
   int ctx_base_ = 0;        ///< context block of this communicator

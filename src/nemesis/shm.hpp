@@ -20,11 +20,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "nemesis/lfqueue.hpp"
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
@@ -130,7 +130,7 @@ class ShmNode {
   struct ProcState {
     LockFreeQueue free_queue;
     LockFreeQueue recv_queue;
-    std::deque<PendingSend> sends;  ///< FIFO of outgoing messages
+    Ring<PendingSend> sends;  ///< FIFO of outgoing messages (keeps its storage)
     bool waiting_for_cell = false;
     net::Channel cpu;  ///< serializes this process's copy-in work
     Time last_arrival = 0;  ///< keeps this sender's cell arrivals in order

@@ -36,11 +36,12 @@ constexpr Time kNicCollLoopback = 0.3e-6;
 constexpr std::uint32_t kRdvRetryLimit = 10;
 }  // namespace
 
-Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers, int my_proc,
-           Config cfg)
+Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers,
+           WirePool& pool, int my_proc, Config cfg)
     : eng_(eng),
       fabric_(fabric),
       peers_(peers),
+      pool_(pool),
       my_proc_(my_proc),
       my_node_(fabric.topology().node_of(my_proc)),
       cfg_(cfg),
@@ -50,6 +51,7 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers
   opts.rdv_quantum = cfg_.rdv_quantum;
   opts.adaptive_split = cfg_.adaptive_split;
   strategy_ = make_strategy(cfg_.strategy, sampling_, opts);
+  strategy_->set_wire_pool(&pool_);
   for (int fr : cfg_.rails) {
     Driver d;
     d.fabric_rail = fr;
@@ -80,8 +82,8 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers
 }
 
 Request* Core::new_request(Request r) {
-  live_.push_back(std::move(r));
-  auto it = std::prev(live_.end());
+  auto it = live_.acquire();
+  *it = std::move(r);
   it->self = it;
   return &*it;
 }
@@ -182,7 +184,7 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
   Channel& ch = channel(src, tag);
   if (!ch.unexpected.empty()) {
     Unexpected u = std::move(ch.unexpected.front());
-    ch.unexpected.pop_front();
+    recycle(ch.unexpected, ch.unexpected.begin(), spare_unexpected_);
     --unexpected_total_;
     if (obs::Recorder* rec = eng_.recorder()) {
       rec->metrics().gauge("nmad.unexpected.depth").set(static_cast<double>(unexpected_total_));
@@ -198,7 +200,7 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
     }
     return req;
   }
-  ch.posted.push_back(req);
+  push_back_recycled(ch.posted, spare_posted_, req);
   return req;
 }
 
@@ -210,7 +212,7 @@ void Core::release(Request* r) {
     eng_.cancel(r->retry_timer);
     r->retry_timer = 0;
   }
-  live_.erase(r->self);
+  live_.release(r->self);
 }
 
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
@@ -328,10 +330,11 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
     }
   }
 
-  std::vector<Note> notes;
+  // One packet in flight per driver, so its notes live on the driver.
+  d.notes.clear();
   for (const Entry& e : wm.entries) {
     if (e.sreq != nullptr) {
-      notes.push_back(Note{e.sreq, e.kind, e.bytes.size(), e.epoch});
+      d.notes.push_back(Note{e.sreq, e.kind, e.bytes.size(), e.epoch});
       ++e.sreq->inflight_notes;
     }
   }
@@ -355,8 +358,7 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
     rec->metrics().counter("nmad.rail.tx_packets", d.label).add(1);
     rec->metrics().counter("nmad.rail.tx_bytes", d.label).add(bytes);
   }
-  eng_.schedule_in_checked(pre, [this, local_rail, dst, bytes, wm = std::move(wm),
-                         notes = std::move(notes)]() mutable {
+  eng_.schedule_in_checked(pre, [this, local_rail, dst, bytes, wm = std::move(wm)]() mutable {
     const int rail = drivers_[static_cast<std::size_t>(local_rail)].fabric_rail;
     const net::WirePacket pkt{my_node_, fabric_.topology().node_of(dst), rail, bytes};
     const Time queued_from = std::max(eng_.now(), fabric_.egress_busy_until(my_node_, rail));
@@ -377,15 +379,16 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
             .add(1);
       }
     }
-    eng_.schedule_checked(egress, [this, local_rail, notes = std::move(notes)]() mutable {
-      on_egress(local_rail, std::move(notes));
-    });
+    eng_.schedule_checked(egress, [this, local_rail] { on_egress(local_rail); });
   });
 }
 
-void Core::on_egress(int local_rail, std::vector<Note> notes) {
+void Core::on_egress(int local_rail) {
   Driver& d = drivers_[static_cast<std::size_t>(local_rail)];
   d.busy = false;
+  // Completions below may submit the driver's next packet, which refills
+  // d.notes: walk this packet's notes out of a moved copy.
+  std::vector<Note> notes = std::move(d.notes);
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->end(eng_.now(), my_proc_, obs::Cat::NmadTx, d.tx_span, 0, local_rail);
     rec->metrics()
@@ -421,6 +424,10 @@ void Core::on_egress(int local_rail, std::vector<Note> notes) {
       // that were still racing toward us (nmad.rdv.orphan_cts).
       try_retire(n.sreq);
     }
+  }
+  if (!d.busy) {  // nothing re-submitted: hand the storage back
+    notes.clear();
+    d.notes = std::move(notes);
   }
   sample_sched();
   drain_nic_txq();
@@ -486,6 +493,7 @@ void Core::rx_wire(int rail, WireMsg&& m) {
                                  nic_coll_rx(id, value, ctl);
                                });
     }
+    pool_.give(std::move(m.entries));
     return;
   }
   pending_rx_.push_back(RxItem{rail, std::move(m)});
@@ -525,7 +533,9 @@ void Core::handle_wire(int fabric_rail, WireMsg m) {
       const sim::FaultPlan::EntryDecision dec =
           cfg_.fault_plan->entry_action(static_cast<int>(e.kind), src, my_proc_, eng_.now());
       obs::Recorder* rec = eng_.recorder();
-      const std::string kind_label = std::string("kind=") + Entry::kind_name(e.kind);
+      // Only a recorder reads the label: build it only when recording.
+      const std::string kind_label =
+          rec != nullptr ? std::string("kind=") + Entry::kind_name(e.kind) : std::string();
       if (dec.action == sim::EntryAction::Drop) {
         if (rec != nullptr) rec->metrics().counter("nmad.fault.dropped", kind_label).add(1);
         continue;
@@ -549,6 +559,7 @@ void Core::handle_wire(int fabric_rail, WireMsg m) {
     }
     dispatch_entry(src, fabric_rail, std::move(e));
   }
+  pool_.give(std::move(m.entries));
 }
 
 void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
@@ -630,7 +641,7 @@ void Core::deliver_eager(Channel& ch, int src, Entry& e, int fabric_rail) {
   }
   if (!ch.posted.empty()) {
     Request* req = ch.posted.front();
-    ch.posted.pop_front();
+    recycle(ch.posted, ch.posted.begin(), spare_posted_);
     NMX_ASSERT_MSG(e.bytes.size() <= req->len, "eager message overflows receive buffer");
     if (!e.bytes.empty()) std::memcpy(req->rbuf, e.bytes.data(), e.bytes.size());
     req->received = e.bytes.size();
@@ -645,7 +656,7 @@ void Core::deliver_eager(Channel& ch, int src, Entry& e, int fabric_rail) {
   u.len = len;
   u.span = e.span;
   u.payload = std::move(e.bytes);
-  ch.unexpected.push_back(std::move(u));
+  push_back_recycled(ch.unexpected, spare_unexpected_, std::move(u));
   ++unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, len, src);
@@ -657,7 +668,7 @@ void Core::deliver_eager(Channel& ch, int src, Entry& e, int fabric_rail) {
 void Core::handle_rts(Channel& ch, int src, Entry& e) {
   if (!ch.posted.empty()) {
     Request* req = ch.posted.front();
-    ch.posted.pop_front();
+    recycle(ch.posted, ch.posted.begin(), spare_posted_);
     start_rdv_recv(src, req, e.rdv_id, e.rdv_total, e.span);
     return;
   }
@@ -667,7 +678,7 @@ void Core::handle_rts(Channel& ch, int src, Entry& e) {
   u.len = e.rdv_total;
   u.rdv_id = e.rdv_id;
   u.span = e.span;
-  ch.unexpected.push_back(std::move(u));
+  push_back_recycled(ch.unexpected, spare_unexpected_, std::move(u));
   ++unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, e.rdv_total, src);
@@ -1199,9 +1210,7 @@ void Core::nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t 
     // Co-located ranks share the node's NICs: the combine step between them
     // is NIC-internal — no wire, no egress occupancy. Delivered straight
     // into the peer's NIC unit.
-    WireMsg wm;
-    wm.src_proc = my_proc_;
-    wm.dst_proc = dst;
+    WireMsg wm{my_proc_, dst, pool_.take()};
     Entry e;
     e.kind = Entry::Kind::CollCtl;
     e.dst_proc = dst;
@@ -1250,9 +1259,7 @@ void Core::drain_nic_txq() {
     if (drivers_[static_cast<std::size_t>(best)].busy) return;  // its egress re-drains
     Entry e = std::move(nic_txq_.front());
     nic_txq_.pop_front();
-    WireMsg wm;
-    wm.src_proc = my_proc_;
-    wm.dst_proc = e.dst_proc;
+    WireMsg wm{my_proc_, e.dst_proc, pool_.take()};
     wm.entries.push_back(std::move(e));
     submit(best, std::move(wm), /*nic_direct=*/true);
   }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -23,6 +22,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/node_pool.hpp"
+#include "common/ring.hpp"
 #include "common/stable_map.hpp"
 #include "net/fabric.hpp"
 #include "nmad/sampling.hpp"
@@ -44,8 +45,9 @@ class Core {
  public:
   /// `peers` reaches every process's endpoint; this core sends through it
   /// and is registered in it (rx_wire) by whoever builds the processes.
-  Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers, int my_proc,
-       Config cfg);
+  /// `pool` recycles packet entry storage among the cores of one cluster.
+  Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<WireMsg>& peers, WirePool& pool,
+       int my_proc, Config cfg);
 
   int proc() const { return my_proc_; }
   const Sampling& sampling() const { return sampling_; }
@@ -146,7 +148,8 @@ class Core {
   /// Matching state of one (peer, tag) pair: the non-overtaking sequence
   /// counters of both directions, entries that arrived ahead of their turn,
   /// and the posted / unexpected queues. Sender-only channels are common, so
-  /// every container is one that does not allocate while empty. A channel is
+  /// every container is one that does not allocate while empty; the queue
+  /// nodes come from and return to the core's spare lists. A channel is
   /// never erased: its counters must stay in step with the other end's.
   struct Channel {
     std::uint32_t send_seq = 0;
@@ -185,6 +188,15 @@ class Core {
     std::uint32_t epoch = 0;
   };
 
+  struct Note {  // sender-side egress bookkeeping
+    Request* sreq;
+    Entry::Kind kind;
+    std::size_t bytes;  ///< payload bytes (rendezvous byte accounting)
+    /// Grant epoch the chunk was sent under; a note from a superseded epoch
+    /// must not decrement the (replayed) outstanding-byte count.
+    std::uint32_t epoch;
+  };
+
   struct Driver {
     int fabric_rail = 0;
     std::string label;          ///< "rail=<local rail>" metric label
@@ -193,15 +205,7 @@ class Core {
     std::uint64_t tx_span = 0;  ///< open NicTx span (one per rail: busy-gated)
     Time tx_begin = 0;          ///< submission time of the in-flight packet
     Time tx_pred = 0;           ///< cost-model predicted egress completion
-  };
-
-  struct Note {  // sender-side egress bookkeeping
-    Request* sreq;
-    Entry::Kind kind;
-    std::size_t bytes;  ///< payload bytes (rendezvous byte accounting)
-    /// Grant epoch the chunk was sent under; a note from a superseded epoch
-    /// must not decrement the (replayed) outstanding-byte count.
-    std::uint32_t epoch;
+    std::vector<Note> notes;    ///< of the in-flight packet (one per driver)
   };
 
   Request* new_request(Request r);
@@ -216,7 +220,7 @@ class Core {
   /// `nic_direct`: a NIC-offloaded collective packet — charged the firmware
   /// processing cost instead of host injection + copy overheads.
   void submit(int local_rail, WireMsg wm, bool nic_direct = false);
-  void on_egress(int local_rail, std::vector<Note> notes);
+  void on_egress(int local_rail);
   void drain_rx();
   void handle_wire(int fabric_rail, WireMsg m);
   /// Deliver one wire entry to its protocol handler (post fault filtering).
@@ -301,6 +305,7 @@ class Core {
   sim::Engine& eng_;
   net::Fabric& fabric_;
   net::Endpoints<WireMsg>& peers_;
+  WirePool& pool_;
   int my_proc_;
   int my_node_;
   Config cfg_;
@@ -308,7 +313,9 @@ class Core {
   std::unique_ptr<Strategy> strategy_;
   std::vector<Driver> drivers_;
 
-  std::list<Request> live_;
+  NodePool<Request> live_;
+  std::list<Request*> spare_posted_;     ///< released Channel::posted nodes
+  std::list<Unexpected> spare_unexpected_;  ///< released Channel::unexpected nodes
   /// The (peer, tag) matching table: one index probe per isend / irecv /
   /// arrival. Channels are never erased and never move, so a Channel& held
   /// across an upcall survives channels created inside it.
@@ -321,12 +328,12 @@ class Core {
     int fabric_rail = -1;  ///< rail the packet arrived on (for the rx mix)
     WireMsg msg;
   };
-  std::deque<RxItem> pending_rx_;
+  Ring<RxItem> pending_rx_;
   bool pending_flush_ = false;
   int progress_depth_ = 0;
 
   std::map<std::uint64_t, NicColl> nic_colls_;
-  std::deque<Entry> nic_txq_;  ///< CollCtl packets awaiting a free rail
+  Ring<Entry> nic_txq_;  ///< CollCtl packets awaiting a free rail
 
   std::function<void(Request&)> on_complete_;
   std::function<void(const ProbeInfo&)> on_unexpected_;

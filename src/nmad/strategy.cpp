@@ -1,9 +1,11 @@
 #include "nmad/strategy.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/ring.hpp"
 #include "common/stable_map.hpp"
 
 namespace nmx::nmad {
@@ -32,7 +34,7 @@ class QueuedStrategy : public Strategy {
   void enqueue(Entry e) override {
     if (e.kind != Entry::Kind::RdvChunk) e.rail = pick_rail(e);
     backlog_[static_cast<std::size_t>(e.rail)] += e.wire_bytes();
-    std::deque<Entry>& q = queues_[queue_key(e.rail, e.dst_proc)];
+    Ring<Entry>& q = queues_[queue_key(e.rail, e.dst_proc)];
     if (q.empty()) {
       std::vector<Active>& act = rr_[static_cast<std::size_t>(e.rail)].active;
       act.insert(first_at_or_after(act, e.dst_proc), Active{e.dst_proc, &q});
@@ -51,12 +53,10 @@ class QueuedStrategy : public Strategy {
     auto pick = first_at_or_after(act, cursor);
     if (pick == act.end()) pick = act.begin();
 
-    std::deque<Entry>& q = *pick->q;
+    Ring<Entry>& q = *pick->q;
     const int dst = pick->dst;
     auto& backlog = backlog_[static_cast<std::size_t>(rail)];
-    WireMsg wm;
-    wm.src_proc = src_proc;
-    wm.dst_proc = dst;
+    WireMsg wm = new_msg(src_proc, dst);
     // Debit the backlog before moving the entry out — wire_bytes() counts the
     // payload, which the move empties.
     auto take_front = [&] {
@@ -92,19 +92,15 @@ class QueuedStrategy : public Strategy {
   std::size_t cancel_rdv(int dst, std::uint64_t rdv_id) override {
     std::size_t dropped = 0;
     for (std::size_t r = 0; r < rr_.size(); ++r) {
-      std::deque<Entry>* q = queues_.find(queue_key(static_cast<int>(r), dst));
+      Ring<Entry>* q = queues_.find(queue_key(static_cast<int>(r), dst));
       if (q == nullptr || q->empty()) continue;
       auto& backlog = backlog_[r];
-      for (auto it = q->begin(); it != q->end();) {
-        if (it->kind == Entry::Kind::RdvChunk && it->rdv_id == rdv_id) {
-          backlog -= std::min(backlog, it->wire_bytes());
-          dropped += it->bytes.size();
-          it = q->erase(it);
-          --pending_;
-        } else {
-          ++it;
-        }
-      }
+      pending_ -= q->erase_if([&](const Entry& e) {
+        if (e.kind != Entry::Kind::RdvChunk || e.rdv_id != rdv_id) return false;
+        backlog -= std::min(backlog, e.wire_bytes());
+        dropped += e.bytes.size();
+        return true;
+      });
       if (q->empty()) rr_[r].active.erase(first_at_or_after(rr_[r].active, dst));
     }
     return dropped;
@@ -117,7 +113,8 @@ class QueuedStrategy : public Strategy {
     auto& backlog = backlog_[static_cast<std::size_t>(rail)];
     std::vector<Active>& act = rr_[static_cast<std::size_t>(rail)].active;
     for (const Active& a : act) {  // ascending dst
-      for (Entry& e : *a.q) {
+      for (std::size_t i = 0; i < a.q->size(); ++i) {
+        Entry& e = (*a.q)[i];
         backlog -= std::min(backlog, e.wire_bytes());
         --pending_;
         displaced.push_back(std::move(e));
@@ -150,7 +147,7 @@ class QueuedStrategy : public Strategy {
   /// A destination with a non-empty queue on some rail.
   struct Active {
     int dst;
-    std::deque<Entry>* q;
+    Ring<Entry>* q;
   };
   /// One rail's round-robin state.
   struct RoundRobin {
@@ -171,7 +168,9 @@ class QueuedStrategy : public Strategy {
   }
 
   bool aggregate_;
-  StableMap<std::uint64_t, std::deque<Entry>, KeyHash> queues_;  ///< by queue_key(rail, dst)
+  /// By queue_key(rail, dst). A Ring keeps its storage, so a queue that is
+  /// filled and drained message after message allocates nothing.
+  StableMap<std::uint64_t, Ring<Entry>, KeyHash> queues_;
   std::vector<RoundRobin> rr_;  ///< per rail
   std::size_t pending_ = 0;
   std::vector<std::size_t> backlog_;  ///< queued wire bytes per rail
@@ -396,9 +395,7 @@ class StratCostModel final : public QueuedStrategy {
       rdv_backlog_ -= take;
       if (job.consumed == job.bytes.size()) jobs_.erase(it);
 
-      WireMsg wm;
-      wm.src_proc = src_proc;
-      wm.dst_proc = e.dst_proc;
+      WireMsg wm = new_msg(src_proc, e.dst_proc);
       wm.entries.push_back(std::move(e));
       ++packets_built_;
       ++entries_sent_;

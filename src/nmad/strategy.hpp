@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -71,6 +70,9 @@ class Strategy {
   /// strategies simply never call it.
   void set_load_probe(LoadProbe probe) { probe_ = std::move(probe); }
 
+  /// Entry storage for the wire messages next() builds (null: allocate).
+  void set_wire_pool(WirePool* pool) { pool_ = pool; }
+
   /// True when the strategy carves rendezvous payloads into chunks itself;
   /// the core then enqueues one unplanned RdvChunk instead of pre-splitting.
   virtual bool plans_rdv_chunks() const { return false; }
@@ -112,11 +114,22 @@ class Strategy {
     return l;
   }
 
+  /// An empty wire message from `src_proc` to `dst_proc`, its entry
+  /// storage taken from the wire pool when one is installed.
+  WireMsg new_msg(int src_proc, int dst_proc) const {
+    WireMsg wm;
+    wm.src_proc = src_proc;
+    wm.dst_proc = dst_proc;
+    if (pool_ != nullptr) wm.entries = pool_->take();
+    return wm;
+  }
+
   std::size_t packets_built_ = 0;
   std::size_t entries_sent_ = 0;
 
  private:
   LoadProbe probe_;
+  WirePool* pool_ = nullptr;
 };
 
 struct StrategyOptions {

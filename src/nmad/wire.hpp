@@ -263,4 +263,28 @@ struct WireMsg {
   }
 };
 
+/// Recycled WireMsg::entries storage, shared by the cores that exchange
+/// packets (one per cluster, handed to each core like its Endpoints). A
+/// sender takes a vector, with the capacity a previous packet left in it, to
+/// build a packet; the receiver gives it back once the packet is handled.
+/// The pool only grows to the peak number of packets in flight.
+class WirePool {
+ public:
+  std::vector<Entry> take() {
+    if (spare_.empty()) return {};
+    std::vector<Entry> v = std::move(spare_.back());
+    spare_.pop_back();
+    return v;
+  }
+  void give(std::vector<Entry>&& v) {
+    if (v.capacity() == 0 || spare_.size() >= kSpareVectors) return;
+    v.clear();
+    spare_.push_back(std::move(v));
+  }
+
+ private:
+  static constexpr std::size_t kSpareVectors = 4096;
+  std::vector<std::vector<Entry>> spare_;
+};
+
 }  // namespace nmx::nmad

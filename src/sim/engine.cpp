@@ -169,15 +169,19 @@ void Engine::route(Event& ev, Time delta) {
   if (ev.t <= now_) {
     // Same-timestamp bucket: actor wakes, resume batons, clamped past events.
     ev.loc = kLocDue;
-    due_.push_back(ev.slot);
+    due_.push_back(Queued{ev.t, ev.seq, ev.slot});
     return;
   }
   if (delta > 0) {
+    auto push = [&](DeltaQueue& d) {
+      ev.loc = kLocDelta;
+      ev.delta_idx = static_cast<std::uint8_t>(&d - deltas_.data());
+      d.q.push_back(Queued{ev.t, ev.seq, ev.slot});
+    };
     for (DeltaQueue& d : deltas_) {
       if (d.dt == delta) {
         ++d.hits;
-        ev.loc = kLocDelta;
-        d.q.push_back(ev.slot);
+        push(d);
         return;
       }
     }
@@ -195,13 +199,12 @@ void Engine::route(Event& ev, Time delta) {
     if (claim != nullptr) {
       claim->dt = delta;
       claim->hits = 1;
-      ev.loc = kLocDelta;
-      claim->q.push_back(ev.slot);
+      push(*claim);
       return;
     }
   }
   ev.loc = kLocHeap;
-  heap_.push_back(HeapEntry{ev.t, ev.seq, ev.slot});
+  heap_.push_back(Queued{ev.t, ev.seq, ev.slot});
   std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
 }
 
@@ -218,12 +221,25 @@ void Engine::cancel(EventId id) {
     // Deferred compaction: only when dead entries dominate, so cancel stays
     // O(1) amortized and the heap never fills with tombstones.
     if (heap_dead_ >= 64 && heap_dead_ * 2 >= heap_.size()) compact_heap();
+  } else {
+    Ring<Queued>& q = ev.loc == kLocDue ? due_ : deltas_[ev.delta_idx].q;
+    if (q.front().slot == slot) reap_front(q);
+  }
+}
+
+void Engine::reap_front(Ring<Queued>& q) {
+  while (!q.empty()) {
+    Event& ev = slot_ref(q.front().slot);
+    if (ev.state != kStateCancelled) return;
+    --tombstones_;
+    free_slot(ev);
+    q.pop_front();
   }
 }
 
 void Engine::compact_heap() {
   std::size_t kept = 0;
-  for (HeapEntry& e : heap_) {
+  for (Queued& e : heap_) {
     Event& ev = slot_ref(e.slot);
     if (ev.state == kStateCancelled) {
       --tombstones_;
@@ -239,75 +255,55 @@ void Engine::compact_heap() {
 }
 
 std::uint32_t Engine::pop_next() {
-  // Reap tombstones at every queue front so min-selection sees live events.
-  auto reap_fifo = [&](std::deque<std::uint32_t>& dq) {
-    while (!dq.empty()) {
-      Event& ev = slot_ref(dq.front());
-      if (ev.state != kStateCancelled) break;
-      --tombstones_;
-      free_slot(ev);
-      dq.pop_front();
+  for (;;) {
+    // Global (t, seq) minimum across the three structures. Every queue is
+    // sorted, so comparing fronts yields the same total order as one heap,
+    // and the fronts carry their keys: no event slot is read to pick.
+    enum { kNone, kDue, kDelta, kHeap } src = kNone;
+    const Queued* best = nullptr;
+    std::size_t delta_idx = 0;
+    auto better = [&](const Queued& q) {
+      return best == nullptr || q.t < best->t || (q.t == best->t && q.seq < best->seq);
+    };
+    if (!due_.empty()) {
+      src = kDue;
+      best = &due_.front();
     }
-  };
-  reap_fifo(due_);
-  for (DeltaQueue& d : deltas_) reap_fifo(d.q);
-  while (!heap_.empty()) {
-    Event& ev = slot_ref(heap_.front().slot);
-    if (ev.state != kStateCancelled) break;
-    --tombstones_;
-    --heap_dead_;
-    free_slot(ev);
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    heap_.pop_back();
-  }
+    for (std::size_t i = 0; i < deltas_.size(); ++i) {
+      if (!deltas_[i].q.empty() && better(deltas_[i].q.front())) {
+        src = kDelta;
+        delta_idx = i;
+        best = &deltas_[i].q.front();
+      }
+    }
+    if (!heap_.empty() && better(heap_.front())) src = kHeap;
 
-  // Global (t, seq) minimum across the three structures. Every queue is
-  // sorted, so comparing fronts yields the same total order as one heap.
-  enum { kNone, kDue, kDelta, kHeap } src = kNone;
-  std::size_t delta_idx = 0;
-  Time bt = 0;
-  std::uint64_t bs = 0;
-  auto better = [&](Time t, std::uint64_t s) {
-    return src == kNone || t < bt || (t == bt && s < bs);
-  };
-  if (!due_.empty()) {
-    const Event& ev = slot_ref(due_.front());
-    src = kDue;
-    bt = ev.t;
-    bs = ev.seq;
-  }
-  for (std::size_t i = 0; i < deltas_.size(); ++i) {
-    if (deltas_[i].q.empty()) continue;
-    const Event& ev = slot_ref(deltas_[i].q.front());
-    if (better(ev.t, ev.seq)) {
-      src = kDelta;
-      delta_idx = i;
-      bt = ev.t;
-      bs = ev.seq;
+    switch (src) {
+      case kNone: return kNoSlot;
+      case kDue:
+      case kDelta: {
+        // A ring's front is never a tombstone (cancel() and this pop reap
+        // them), so the winner is live.
+        Ring<Queued>& q = src == kDue ? due_ : deltas_[delta_idx].q;
+        const std::uint32_t s = q.front().slot;
+        q.pop_front();
+        reap_front(q);
+        return s;
+      }
+      case kHeap: {
+        const std::uint32_t s = heap_.front().slot;
+        std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
+        heap_.pop_back();
+        Event& ev = slot_ref(s);
+        if (ev.state != kStateCancelled) return s;
+        // A heap tombstone won: reap it and pick again.
+        --tombstones_;
+        --heap_dead_;
+        free_slot(ev);
+        break;
+      }
     }
   }
-  if (!heap_.empty() && better(heap_.front().t, heap_.front().seq)) src = kHeap;
-
-  switch (src) {
-    case kNone: return kNoSlot;
-    case kDue: {
-      const std::uint32_t s = due_.front();
-      due_.pop_front();
-      return s;
-    }
-    case kDelta: {
-      const std::uint32_t s = deltas_[delta_idx].q.front();
-      deltas_[delta_idx].q.pop_front();
-      return s;
-    }
-    case kHeap: {
-      const std::uint32_t s = heap_.front().slot;
-      std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-      heap_.pop_back();
-      return s;
-    }
-  }
-  NMX_FAIL("unreachable");
 }
 
 void Engine::dispatch(Event& ev) {

@@ -36,19 +36,23 @@
 //    by exact schedule_in() delta — the "now + constant α" NIC/software
 //    costs (inject, deliver, reaction period, ...) are a handful of repeated
 //    constants, and now+α is monotone in now, so each queue stays sorted by
-//    construction: O(1) push/pop. (c) `heap_`: classic binary heap of
-//    (t, seq, slot) for everything else. The dispatcher pops the global
-//    (t, seq)-minimum across the three; semantics are identical to a single
-//    priority queue (events at equal times run in scheduling order).
+//    construction: O(1) push/pop. (c) `heap_`: classic binary heap for
+//    everything else. Every queue stores (t, seq, slot), and the FIFOs are
+//    Rings that keep their storage, so the dispatcher picks the global
+//    (t, seq)-minimum by comparing fronts without touching an event slot
+//    and a steady run allocates nothing; semantics are identical to a
+//    single priority queue (events at equal times run in scheduling order).
 //  * Tombstone cancellation. cancel() destroys the callback and flags the
-//    slot O(1); queue entries are skipped lazily at the front. When dead
-//    entries dominate the heap, it is compacted in one pass (deferred
-//    compaction), so cancel-heavy paths (block_until timeouts) never pay a
-//    per-cancel O(n) erase or grow the heap without bound.
+//    slot O(1). A FIFO ring never shows a tombstone at its front: cancel()
+//    reaps one it finds there and every pop reaps the next, so a cancelled
+//    far-future timeout frees its slot as soon as the entries ahead of it
+//    leave. A heap entry is reaped when it wins; when dead entries dominate
+//    the heap, it is compacted in one pass (deferred compaction), so
+//    cancel-heavy paths (block_until timeouts) never pay a per-cancel O(n)
+//    erase or grow the heap without bound.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -56,6 +60,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/ring.hpp"
 #include "common/units.hpp"
 #include "sim/fiber.hpp"
 #include "sim/smallfn.hpp"
@@ -312,16 +317,18 @@ class Engine {
     std::uint32_t gen = 1;          // bumped on free; half of the EventId
     std::uint8_t state = kStateFree;
     std::uint8_t loc = kLocDue;
+    std::uint8_t delta_idx = 0;     // kLocDelta: index into deltas_
     std::uint8_t resume_mode = kResumeNone;
   };
 
-  struct HeapEntry {
+  /// A queued event: its slot plus the (t, seq) key it is ordered by.
+  struct Queued {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
   struct HeapCmp {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    bool operator()(const Queued& a, const Queued& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;  // min-(t, seq) at the front
     }
@@ -332,7 +339,7 @@ class Engine {
   struct DeltaQueue {
     Time dt = 0;
     std::uint64_t hits = 0;
-    std::deque<std::uint32_t> q;
+    Ring<Queued> q;
   };
 
   Event& slot_ref(std::uint32_t slot) {
@@ -352,8 +359,10 @@ class Engine {
   void route(Event& ev, Time delta);
   void free_slot(Event& ev);
   /// Pop the (t, seq)-minimum live event across the three queues, reaping
-  /// tombstones at the fronts. kNoSlot when everything drained.
+  /// each heap tombstone that wins. kNoSlot when everything drained.
   std::uint32_t pop_next();
+  /// Free the tombstones at the front of a FIFO ring, so its front is live.
+  void reap_front(Ring<Queued>& q);
   void compact_heap();
   void dispatch(Event& ev);
 
@@ -374,9 +383,9 @@ class Engine {
   std::uint64_t closure_heap_allocs_ = 0;
 
   // queues
-  std::deque<std::uint32_t> due_;
+  Ring<Queued> due_;
   std::vector<DeltaQueue> deltas_;
-  std::vector<HeapEntry> heap_;
+  std::vector<Queued> heap_;
   std::size_t tombstones_ = 0;
   std::size_t heap_dead_ = 0;  ///< tombstoned entries still in heap_
   std::uint64_t heap_compactions_ = 0;

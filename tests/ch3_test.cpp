@@ -303,6 +303,90 @@ TEST(ShmRendezvous, LateReceiverGetsBytesFromBeforeTheSenderReusedItsBuffer) {
 }
 
 // ---------------------------------------------------------------------------
+// Send-path selection (§3.1.2): a send to self is a loopback, a send to the
+// same node rides Nemesis cells, and a remote send goes straight to
+// nm_sr_isend (bypass) or travels as a CH3 packet in a netmod cell (legacy).
+// 2 nodes x 2 procs, block mapping: ranks 0 and 1 on node 0, 2 and 3 on 1.
+// ---------------------------------------------------------------------------
+
+struct PathCounts {
+  std::uint64_t shm_cells = 0;
+  std::uint64_t nmad_eager = 0;        ///< nmad eager messages
+  std::uint64_t nmad_eager_bytes = 0;  ///< their payload bytes
+};
+
+PathCounts read_counts(mpi::Cluster& cluster) {
+  const obs::Registry& m = cluster.recorder()->metrics();
+  auto value = [&](const char* name) -> std::uint64_t {
+    const obs::Counter* c = m.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  return {value("shm.cells"), value("nmad.eager.count"), value("nmad.eager.bytes")};
+}
+
+class SendPath : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::size_t kLen = 64;
+
+  /// Rank 0 sends kLen bytes to `dst`, which receives them from `src`
+  /// (0 or ANY_SOURCE). Returns the traffic counters of that one message.
+  static PathCounts one_message(bool bypass, int dst, int src = 0) {
+    mpi::ClusterConfig cfg = stack_cfg(2, 4, bypass);
+    cfg.trace = true;
+    mpi::Cluster cluster(cfg);
+    std::vector<std::byte> out(kLen), in(kLen);
+    for (std::size_t i = 0; i < kLen; ++i) out[i] = static_cast<std::byte>(i * 7 + 1);
+    cluster.run([&](mpi::Comm& c) {
+      if (c.rank() == 0 && dst == 0) {
+        mpi::Request r = c.irecv(in.data(), kLen, src, 5);
+        c.send(out.data(), kLen, 0, 5);
+        EXPECT_EQ(c.wait(r).source, 0);
+      } else if (c.rank() == 0) {
+        c.send(out.data(), kLen, dst, 5);
+      } else if (c.rank() == dst) {
+        const mpi::Status st = c.recv(in.data(), kLen, src, 5);
+        EXPECT_EQ(st.source, 0);
+        EXPECT_EQ(st.count, kLen);
+      }
+    });
+    EXPECT_EQ(in, out);
+    return read_counts(cluster);
+  }
+};
+
+TEST_P(SendPath, SelfSendIsALoopback) {
+  const PathCounts n = one_message(GetParam(), /*dst=*/0);
+  EXPECT_EQ(n.shm_cells, 0u);
+  EXPECT_EQ(n.nmad_eager, 0u);
+}
+
+TEST_P(SendPath, SameNodeSendRidesNemesisCells) {
+  const PathCounts n = one_message(GetParam(), /*dst=*/1);
+  EXPECT_EQ(n.shm_cells, 1u);
+  EXPECT_EQ(n.nmad_eager, 0u);
+}
+
+TEST_P(SendPath, RemoteSendGoesToNewMadeleine) {
+  const PathCounts n = one_message(GetParam(), /*dst=*/2);
+  EXPECT_EQ(n.shm_cells, 0u);
+  EXPECT_EQ(n.nmad_eager, 1u);
+  // The bypass hands the user buffer to nm_sr_isend as it is; the legacy
+  // path sends a netmod cell, the CH3 header followed by the payload.
+  EXPECT_EQ(n.nmad_eager_bytes, GetParam() ? kLen : sizeof(nemesis::ShmHdr) + kLen);
+}
+
+TEST_P(SendPath, AnySourceReceiveMatchesASameNodeSender) {
+  const PathCounts n = one_message(GetParam(), /*dst=*/1, mpi::ANY_SOURCE);
+  EXPECT_EQ(n.shm_cells, 1u);
+  EXPECT_EQ(n.nmad_eager, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bypass, SendPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "bypass" : "legacy";
+                         });
+
+// ---------------------------------------------------------------------------
 // Legacy netmod path (bypass = false)
 // ---------------------------------------------------------------------------
 

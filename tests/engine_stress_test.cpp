@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -191,6 +192,103 @@ TEST(EngineStress, StaleIdsAfterSlotReuseAreNoOps) {
   eng.cancel(first);  // stale id likely aliases second's slot — must be a no-op
   eng.run();
   EXPECT_TRUE(second_ran);
+}
+
+// ---------------------------------------------------------------------------
+// The engine's FIFO rings: wrap-around, growth while wrapped, and tombstones
+// at the front, replayed against the reference queue
+// ---------------------------------------------------------------------------
+
+// Events scheduled with one constant delta share one ring, and events at the
+// current time share the due ring. Each label is checked against the
+// reference when it runs; `on_run` adds the scenario's reactions.
+class RingScenario {
+ public:
+  static constexpr Time kDt = 1e-6;
+
+  std::uint64_t in_dt() {
+    return add(eng_.now() + kDt, [&](auto f) { return eng_.schedule_in(kDt, f); });
+  }
+  std::uint64_t at_now() {
+    return add(eng_.now(), [&](auto f) { return eng_.schedule(eng_.now(), f); });
+  }
+  std::uint64_t at(Time t) {
+    return add(t, [&](auto f) { return eng_.schedule(t, f); });
+  }
+  void cancel(std::uint64_t label) {
+    eng_.cancel(ids_[label]);
+    ref_.cancelled.insert(label);
+  }
+
+  Engine& engine() { return eng_; }
+  std::uint64_t ran() const { return ran_; }
+  const ReferenceQueue& reference() const { return ref_; }
+  std::function<void(std::uint64_t)> on_run;
+
+ private:
+  template <class Schedule>
+  std::uint64_t add(Time t, Schedule schedule) {
+    const std::uint64_t label = ids_.size();
+    ref_.insert(t, label);
+    ids_.push_back(schedule([this, label] {
+      ref_.expect_front(eng_.now(), label);
+      ++ran_;
+      if (on_run) on_run(label);
+    }));
+    return label;
+  }
+
+  Engine eng_;
+  ReferenceQueue ref_;
+  std::vector<EventId> ids_;  ///< by label
+  std::uint64_t ran_ = 0;
+};
+
+TEST(EngineRings, WrapGrowthWhileWrappedAndFrontTombstonesKeepReferenceOrder) {
+  RingScenario sc;
+  // 64 events fill the delta ring to a capacity of 64.
+  for (int i = 0; i < 64; ++i) sc.in_dt();
+  std::uint64_t chain_budget = 600;
+  std::set<std::uint64_t> chain;
+  sc.on_run = [&](std::uint64_t label) {
+    if (label == 0) {
+      // The ring's head has moved past slot 0: its next push wraps to the
+      // start of the buffer, and the 100 pushes after it grow the ring while
+      // it is wrapped. Labels 1..5 are the front of the ring. Cancelled back
+      // to front, 5..2 are tombstones behind a live front until cancelling
+      // 1 reaps all five.
+      for (std::uint64_t l = 5; l >= 1; --l) sc.cancel(l);
+      for (int i = 0; i < 100; ++i) sc.in_dt();
+      // The due ring: 70 events at this instant, the first three cancelled
+      // the same way, and an absolute-time event for the heap.
+      std::vector<std::uint64_t> due;
+      for (int i = 0; i < 70; ++i) due.push_back(sc.at_now());
+      for (std::size_t i = 3; i-- > 0;) sc.cancel(due[i]);
+      sc.cancel(sc.at(sc.engine().now() + 0.5 * RingScenario::kDt));
+      sc.at(sc.engine().now() + 1.5 * RingScenario::kDt);
+      // Three self-renewing chains keep a few events in each ring for
+      // hundreds of rounds, so both rings wrap again and again.
+      for (int i = 0; i < 3; ++i) chain.insert(sc.in_dt());
+      return;
+    }
+    if (chain.count(label) == 0 || chain_budget == 0) return;
+    --chain_budget;
+    chain.insert(sc.in_dt());
+    const std::uint64_t d = sc.at_now();
+    if (chain_budget % 7 == 0) {
+      sc.cancel(d);  // a tombstone at the due ring's front
+    }
+    if (chain_budget % 11 == 0) {
+      const std::uint64_t next = sc.in_dt();  // a tombstone at the delta ring's back
+      sc.cancel(next);
+    }
+  };
+  sc.engine().run();
+  EXPECT_EQ(sc.reference().live(), 0u) << "the engine skipped live events";
+  EXPECT_EQ(sc.ran(), sc.engine().events_processed());
+  EXPECT_GT(sc.ran(), 1000u);
+  EXPECT_EQ(sc.engine().tombstones(), 0u);
+  EXPECT_EQ(sc.engine().live_events(), 0u);
 }
 
 // ---------------------------------------------------------------------------

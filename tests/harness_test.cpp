@@ -97,9 +97,10 @@ TEST(NmadRaw, StandaloneLatencyIs1p8us) {
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
   net::Fabric fabric(eng, topo);
   net::Endpoints<nmad::WireMsg> eps(topo.num_procs());
+  nmad::WirePool pool;
   nmad::Config cfg;
-  nmad::Core a(eng, fabric, eps, 0, cfg);
-  nmad::Core b(eng, fabric, eps, 1, cfg);
+  nmad::Core a(eng, fabric, eps, pool, 0, cfg);
+  nmad::Core b(eng, fabric, eps, pool, 1, cfg);
   for (nmad::Core* c : {&a, &b}) {
     eps.register_proc(c->proc(),
                       [c](int rail, nmad::WireMsg&& m) { c->rx_wire(rail, std::move(m)); });

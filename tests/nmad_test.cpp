@@ -269,6 +269,7 @@ struct CoreFixture : ::testing::Test {
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
   net::Fabric fabric{eng, topo};
   net::Endpoints<WireMsg> eps{topo.num_procs()};
+  WirePool pool;
   Config cfg;
 
   std::unique_ptr<Core> a;  // proc 0
@@ -277,8 +278,8 @@ struct CoreFixture : ::testing::Test {
   void make_cores(StrategyKind strat = StrategyKind::Aggreg, std::vector<int> rails = {0}) {
     cfg.strategy = strat;
     cfg.rails = std::move(rails);
-    a = std::make_unique<Core>(eng, fabric, eps, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, eps, 1, cfg);
+    a = std::make_unique<Core>(eng, fabric, eps, pool, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, eps, pool, 1, cfg);
     attach(eps, *a);
     attach(eps, *b);
     // Always-in-progress processes (the MPI layer provides the bracketing).
@@ -378,11 +379,12 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
     net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
     net::Fabric fabric(eng, topo);
     net::Endpoints<WireMsg> eps(topo.num_procs());
+    WirePool pool;
     Config cfg;
     cfg.strategy = k;
     cfg.rails = {0, 1};
-    Core a(eng, fabric, eps, 0, cfg);
-    Core b(eng, fabric, eps, 1, cfg);
+    Core a(eng, fabric, eps, pool, 0, cfg);
+    Core b(eng, fabric, eps, pool, 1, cfg);
     attach(eps, a);
     attach(eps, b);
     a.enter_progress();
@@ -437,8 +439,9 @@ struct ZeroCopyFixture : ::testing::Test {
     cfg.strategy = kind;
     cfg.rails = {0, 1};
     cfg.fault_plan = &plan;
-    Core a(eng, fabric, eps, 0, cfg);
-    Core b(eng, fabric, eps, 1, cfg);
+    WirePool pool;
+    Core a(eng, fabric, eps, pool, 0, cfg);
+    Core b(eng, fabric, eps, pool, 1, cfg);
     attach(eps, a);
     // The receiver's endpoint is a tap: it records each chunk, then hands the
     // packet to the core.
@@ -691,6 +694,7 @@ struct ThreeCoreFixture : ::testing::Test {
   net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
   net::Fabric fabric{eng, topo};
   net::Endpoints<WireMsg> eps{topo.num_procs()};
+  WirePool pool;
   Config cfg;
   std::unique_ptr<Core> a;  // proc 0
   std::unique_ptr<Core> b;  // proc 1
@@ -698,9 +702,9 @@ struct ThreeCoreFixture : ::testing::Test {
 
   void make_cores() {
     cfg.rails = {0};
-    a = std::make_unique<Core>(eng, fabric, eps, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, eps, 1, cfg);
-    c = std::make_unique<Core>(eng, fabric, eps, 2, cfg);
+    a = std::make_unique<Core>(eng, fabric, eps, pool, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, eps, pool, 1, cfg);
+    c = std::make_unique<Core>(eng, fabric, eps, pool, 2, cfg);
     attach(eps, *a);
     attach(eps, *b);
     attach(eps, *c);
